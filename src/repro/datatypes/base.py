@@ -13,6 +13,8 @@ grid value (the ``argmin`` in the paper's Eq. 4).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = ["GridDataType", "nearest_grid_index", "grid_boundaries", "absmax_scale"]
@@ -92,7 +94,7 @@ class GridDataType:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def grid_max(self) -> float:
         """Largest representable magnitude (used for absmax scaling)."""
         return float(np.max(np.abs(self.grid)))

@@ -33,6 +33,24 @@ class IntType(GridDataType):
         q = np.clip(np.rint(scaled), -self.qmax, self.qmax)
         return (q + self.qmax).astype(np.intp)
 
+    def qdq(self, x: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+        """Fake-quantize without the index round trip.
+
+        The grid holds every integer in ``[-qmax, qmax]``, so
+        ``decode(encode(v))`` is ``round_clip(v)`` — except that ``rint``
+        keeps the sign of ``-0.0`` where the grid holds ``+0.0``; adding
+        ``0.0`` restores the grid value, so the bytes match the generic
+        encode/decode path exactly.  NaN in ``x / scale`` (NaN or ±inf
+        input under absmax scaling) has no grid point and raises.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if scale is None:
+            scale = self.scale_for(x)
+        q = self.round_clip(x / scale)
+        if np.isnan(q).any():
+            raise ValueError("cannot quantize NaN (NaN or infinite input)")
+        return (q + 0.0) * scale
+
     def round_clip(self, scaled: np.ndarray) -> np.ndarray:
         """Round-and-saturate to raw integer values (not grid indices)."""
         return np.clip(np.rint(np.asarray(scaled, dtype=np.float64)), -self.qmax, self.qmax)

@@ -170,12 +170,22 @@ def _pad_to_multiple(x: np.ndarray, m: int) -> np.ndarray:
 def _make_act_quant(cfg: PTQConfig):
     if cfg.method == "fp16" or cfg.a_bits >= 16:
         return None
-    if cfg.method == "mant" or cfg.method == "int" or cfg.method == "cluster":
-        # MANT framework: activations are plain group-wise INT (Sec. V-B).
+    if cfg.method in ("mant", "int", "cluster", "nf", "fp", "pot", "flint"):
+        # MANT framework: activations are plain group-wise INT (Sec. V-B);
+        # the plain data-type rows share that activation path.
         gq = GroupQuantizer(
             IntType(cfg.a_bits), cfg.a_granularity or Granularity.GROUP, cfg.group_size
         )
-        return lambda name, x: gq.qdq(x, axis=-1)
+
+        def hook(name, x):
+            return gq.qdq(x, axis=-1)
+
+        # GROUP and CHANNEL scales reduce only along the last axis, so
+        # each token's output depends on its own row alone and batched
+        # forwards may quantize many rows in one call (see
+        # TransformerLM.decode_step_batch).  TENSOR scales couple rows.
+        hook.per_token = gq.granularity is not Granularity.TENSOR
+        return hook
     if cfg.method == "ant":
         aq = AntQuantizer(
             bits=cfg.a_bits,
@@ -196,11 +206,6 @@ def _make_act_quant(cfg: PTQConfig):
         return lambda name, x: tq.qdq(x, axis=-1)
     if cfg.method in ("mxfp",):
         return lambda name, x: mxfp4_qdq(_pad_to_multiple(x, 32), 32)[..., : x.shape[-1]]
-    if cfg.method in ("nf", "fp", "pot", "flint"):
-        gq = GroupQuantizer(
-            IntType(cfg.a_bits), cfg.a_granularity or Granularity.GROUP, cfg.group_size
-        )
-        return lambda name, x: gq.qdq(x, axis=-1)
     raise ValueError(f"unknown activation method {cfg.method!r}")
 
 

@@ -16,7 +16,11 @@ quantization hooks the accuracy experiments plug in:
     Substituted (fake-quantized) weight dict.
 ``act_quant(name, x)``
     Applied to the *input* of every linear projection — this is where
-    group-wise INT8/INT4 activation quantization happens.
+    group-wise INT8/INT4 activation quantization happens.  A hook whose
+    ``per_token`` attribute is true promises that each token's output
+    depends only on that token's row (scales reduce along the last axis
+    alone), so the batched paths call it once on the packed tensor;
+    any other hook is called once per sequence.
 ``kv_cache_factory()``
     Builds one :class:`repro.quant.kvcache.KVCache` per layer for
     generation; prefill-style evaluation uses ``kv_quant`` instead.
@@ -324,13 +328,18 @@ class TransformerLM:
         if cfg.arch == "opt":
             x = x + p["pos_embed"][positions][:, None, :]
 
+        per_token = getattr(act_quant, "per_token", False)
+
         def q(name, val):
-            # Activation quantization is applied per sequence: tensor- or
-            # channel-granularity scales computed over the whole batch
-            # would couple sequences and break the per-row bit-identity
-            # with the single-stream step (which quantizes (1, 1, d)).
+            # A per-token hook sees the whole (B, 1, d) batch in one call:
+            # its scales never cross rows, so each row is bit-identical to
+            # the single-stream step's (1, 1, d) call.  Any other hook may
+            # compute scales over the whole tensor, which would couple
+            # sequences, so it is called once per sequence.
             if act_quant is None:
                 return val
+            if per_token:
+                return act_quant(name, val)
             return np.concatenate(
                 [act_quant(name, val[b : b + 1]) for b in range(bsz)]
             )
@@ -432,9 +441,11 @@ class TransformerLM:
         invariant to row count — so mixed-tick output is guaranteed
         token-identical (quantization grids absorb ulp noise), not
         logits-bitwise-identical, to the unpacked paths.  ``act_quant``
-        is applied per segment, matching :meth:`decode_step_batch` for
-        decode rows; chunked prefill applies it per chunk, which is
-        exact for the per-token group-wise quantizers serving uses.
+        follows :meth:`decode_step_batch`'s rule: a ``per_token`` hook
+        is called once on the packed ``(1, T, d)`` tensor, any other
+        hook once per segment.  Chunked prefill is exact only for
+        per-token hooks; a hook with tensor-wide scales sees one chunk
+        at a time instead of the whole prompt.
         """
         cfg = self.config
         p = self.params if weights is None else weights
@@ -457,11 +468,16 @@ class TransformerLM:
                       if seg.kind == MixedSegment.DECODE]
         decode_starts = np.asarray([spans[i][0] for i in decode_idx], dtype=np.int64)
 
+        per_token = getattr(act_quant, "per_token", False)
+
         def q(name, val):
-            # Per segment, like decode_step_batch's per-sequence rule:
-            # batch-wide scales would couple sequences.
+            # decode_step_batch's rule: one call on the packed tensor for
+            # a per-token hook, else one per segment so that tensor-wide
+            # scales do not couple sequences.
             if act_quant is None:
                 return val
+            if per_token:
+                return act_quant(name, val)
             return np.concatenate(
                 [act_quant(name, val[:, s:e]) for s, e in spans], axis=1
             )

@@ -73,9 +73,15 @@ class GroupQuantizer:
         self.fp16_scales = fp16_scales
 
     def _round_scale(self, scale: np.ndarray) -> np.ndarray:
+        """Round scales to storage precision; a zero scale becomes 1.
+
+        A zero scale comes from an all-zero group or from a nonzero
+        absmax below the fp16 subnormal range.  Scale 1 dequantizes
+        either kind of group to zeros instead of dividing by zero.
+        """
         if self.fp16_scales:
-            return scale.astype(np.float16).astype(np.float64)
-        return scale
+            scale = scale.astype(np.float16).astype(np.float64)
+        return np.where(scale == 0, 1.0, scale)
 
     def qdq(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Quantize-dequantize ``x`` along ``axis``."""
@@ -87,13 +93,11 @@ class GroupQuantizer:
             # One scale per slice along every axis except `axis`.
             moved = np.moveaxis(x, axis, -1)
             amax = np.max(np.abs(moved), axis=-1, keepdims=True)
-            amax = np.where(amax <= 0, self.dtype.grid_max, amax)
             scale = self._round_scale(amax / self.dtype.grid_max)
             out = self.dtype.qdq(moved, scale)
             return np.moveaxis(out, -1, axis)
         view = to_groups(x, self.group_size, axis=axis)
         amax = np.max(np.abs(view.groups), axis=-1, keepdims=True)
-        amax = np.where(amax <= 0, self.dtype.grid_max, amax)
         scale = self._round_scale(amax / self.dtype.grid_max)
         out = self.dtype.qdq(view.groups, scale)
         return from_groups(view, out)

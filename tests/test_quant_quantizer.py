@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datatypes.base import GridDataType
 from repro.datatypes.int_type import IntType
 from repro.quant.config import Granularity, QuantConfig
 from repro.quant.quantizer import GroupQuantizer, qdq_with_config, quantize_dequantize
@@ -47,6 +48,66 @@ class TestGroupQuantizer:
     def test_zero_tensor(self):
         out = GroupQuantizer(IntType(4), Granularity.GROUP, 64).qdq(np.zeros((2, 64)))
         assert np.all(out == 0)
+
+    @pytest.mark.parametrize("granularity", [Granularity.GROUP, Granularity.CHANNEL])
+    def test_fp16_scale_underflow_gives_zeros(self, rng, granularity):
+        # A nonzero absmax below the fp16 subnormal range rounds the
+        # group's scale to 0; with an exact zero in the group that was
+        # 0/0 = NaN and an IndexError from the grid gather.
+        x = np.stack([np.zeros(32), rng.normal(size=32)])
+        x[0, :31] = np.linspace(-1e-7, 1e-7, 31)
+        assert x[0, 15] == 0.0
+        gq = GroupQuantizer(IntType(8), granularity, 32)
+        out = gq.qdq(x)
+        assert out[0].tobytes() == np.zeros(32).tobytes()
+        assert out[1].tobytes() == gq.qdq(x[1:]).tobytes()
+
+
+class _GatherInt(IntType):
+    """IntType through the generic path: encode, grid gather, multiply."""
+
+    qdq = GridDataType.qdq
+
+
+def _parity_inputs(rng, qmax):
+    """Inputs for the IntType fast path: ragged tails, zero groups, ties."""
+    ragged = rng.normal(size=(3, 2, 45)) * 3.0       # 45 = 32 + a 13-wide tail
+    zero_groups = rng.normal(size=(2, 96))
+    zero_groups[:, 32:64] = 0.0
+    zero_groups[1] = 0.0
+    # Every 32-group's absmax is qmax, so the scale is exactly 1 and the
+    # half-integers are exact .5 ties (±0.5 round to ±0.0).
+    ties = rng.integers(-2 * qmax, 2 * qmax + 1, size=(4, 64)) / 2.0
+    ties[:, ::32] = qmax
+    # Tiny negatives next to one large value round to -0.0, which the
+    # grid holds as +0.0.
+    tiny = -np.abs(rng.normal(size=(2, 64))) * 1e-4
+    tiny[:, ::16] = 1.0
+    return [ragged, zero_groups, ties, tiny]
+
+
+class TestIntTypeParity:
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    @pytest.mark.parametrize("fp16_scales", [True, False])
+    def test_qdq_bytes_match_encode_decode(self, rng, bits, granularity, fp16_scales):
+        fast = GroupQuantizer(IntType(bits), granularity, 32, fp16_scales=fp16_scales)
+        ref = GroupQuantizer(_GatherInt(bits), granularity, 32, fp16_scales=fp16_scales)
+        for x in _parity_inputs(rng, 2 ** (bits - 1) - 1):
+            assert fast.qdq(x).tobytes() == ref.qdq(x).tobytes()
+
+    def test_negative_zero_becomes_grid_zero(self):
+        out = IntType(8).qdq(np.array([-1e-4, 1.0]), 1.0 / 127)
+        assert out[0] == 0.0 and not np.signbit(out[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_non_finite_input_raises(self, bad, granularity):
+        x = np.ones((2, 32))
+        x[1, 3] = bad
+        # inf / inf warns on the way to the NaN that raises.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            GroupQuantizer(IntType(8), granularity, 32).qdq(x)
 
 
 class TestConfigDispatch:

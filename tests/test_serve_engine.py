@@ -10,7 +10,8 @@ import functools
 import numpy as np
 import pytest
 
-from repro.model.transformer import ModelConfig, TransformerLM
+from repro.model.quantized import PTQConfig, build_ptq
+from repro.model.transformer import MixedSegment, ModelConfig, TransformerLM
 from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
 from repro.serve import (
     FINISH_LENGTH,
@@ -105,29 +106,82 @@ class TestGreedyEquivalence:
             assert np.array_equal(batched[b], ref)
 
     def test_act_quant_applied_per_sequence(self, model):
-        """Tensor-granularity activation scales must not couple batch rows."""
+        """Batched forwards quantize activations as the single stream does.
+
+        Two hooks: a tensor-scale one, the worst case for batching (one
+        scale over the whole tensor couples rows), which must be called
+        once per sequence; and the MANT W4A8 hook ``build_ptq`` makes,
+        which is per-token and must be called once per projection input
+        on the packed rows.
+        """
 
         def tensor_act_quant(name, x):
-            # Worst case for batching: one scale over the whole tensor.
             scale = np.max(np.abs(x)) / 127.0 or 1.0
             return np.round(x / scale) * scale
 
+        mant = build_ptq(model, PTQConfig(method="mant", w_bits=4, a_bits=8,
+                                          group_size=16)).act_quant
+        assert not getattr(tensor_act_quant, "per_token", False)
+        assert mant.per_token
+        for act_quant in (tensor_act_quant, mant):
+            self._check_act_quant_batching(model, act_quant)
+
+    @staticmethod
+    def _check_act_quant_batching(model, act_quant):
+        calls = []
+
+        def counting(name, x):
+            calls.append(name)
+            return act_quant(name, x)
+
+        counting.per_token = getattr(act_quant, "per_token", False)
+        n_layers = model.config.n_layers
+        sites = n_layers * 4                       # wq, wo, wgate, wdown
+
+        def prefilled(p):
+            caches = [FP16KVCache() for _ in range(n_layers)]
+            logits = model.prefill(p, caches, act_quant=act_quant)
+            return caches, int(np.argmax(logits))
+
         ps = prompts(3, seed=21)
-        single_caches, batch_caches, toks, poss = [], [], [], []
-        for p in ps:
-            cs = [FP16KVCache() for _ in range(model.config.n_layers)]
-            cb = [FP16KVCache() for _ in range(model.config.n_layers)]
-            toks.append(int(np.argmax(model.prefill(p, cs, act_quant=tensor_act_quant))))
-            model.prefill(p, cb, act_quant=tensor_act_quant)
-            single_caches.append(cs)
-            batch_caches.append(cb)
-            poss.append(len(p))
+        single = [prefilled(p) for p in ps]
+        toks = [t for _, t in single]
+        poss = [len(p) for p in ps]
+        refs = [model.decode_step(t, cs, pos, act_quant=act_quant)
+                for (cs, t), pos in zip(single, poss)]
+
+        batch_caches = [prefilled(p)[0] for p in ps]
         batched = model.decode_step_batch(toks, batch_caches, poss,
-                                          act_quant=tensor_act_quant)
-        for b in range(len(ps)):
-            ref = model.decode_step(toks[b], single_caches[b], poss[b],
-                                    act_quant=tensor_act_quant)
-            assert np.array_equal(batched[b], ref)
+                                          act_quant=counting)
+        assert len(calls) == sites * (1 if counting.per_token else len(ps))
+        assert [row.tobytes() for row in batched] == [r.tobytes() for r in refs]
+
+        # Mixed tick: the same decode rows packed with a final prompt chunk.
+        chunk = prompts(1, seed=22, lo=16, hi=17)[0]
+        chunk_ref = model.prefill_chunk(
+            chunk, [FP16KVCache() for _ in range(n_layers)], offset=0,
+            final=True, act_quant=act_quant)
+
+        def mixed(hook):
+            segs = [MixedSegment([t], prefilled(p)[0], pos, MixedSegment.DECODE)
+                    for t, p, pos in zip(toks, ps, poss)]
+            segs.append(MixedSegment(chunk, [FP16KVCache() for _ in range(n_layers)],
+                                     0, MixedSegment.CHUNK_FINAL))
+            return [o.tobytes() for o in model.forward_mixed(segs, act_quant=hook)]
+
+        def per_segment(name, x):
+            return act_quant(name, x)
+
+        calls.clear()
+        outs = mixed(counting)
+        assert len(calls) == sites * (1 if counting.per_token else len(ps) + 1)
+        # One call on the packed rows changes no byte against one call
+        # per segment.  The packed GEMMs themselves may differ from the
+        # single-stream ones in the last ulp (see forward_mixed), so
+        # against the single stream the check is on tokens.
+        assert outs == mixed(per_segment)
+        for out, ref in zip(outs, refs + [chunk_ref]):
+            assert np.argmax(np.frombuffer(out)) == np.argmax(ref)
 
     def test_over_budget_request_rejected_not_wedged(self, model):
         """A request that can never fit must not stall the queue forever."""

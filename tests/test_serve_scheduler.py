@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.serve.request import GenerationRequest
-from repro.serve.scheduler import QueueFullError, Scheduler, ServeConfig
+from repro.serve import ServeConfig
+from repro.serve.scheduler import QueueFullError, Scheduler
 
 
 class _Seq:

@@ -183,7 +183,8 @@ def _make_act_quant(cfg: PTQConfig):
         # GROUP and CHANNEL scales reduce only along the last axis, so
         # each token's output depends on its own row alone and batched
         # forwards may quantize many rows in one call (see
-        # TransformerLM.decode_step_batch).  TENSOR scales couple rows.
+        # repro.model.transformer._act_quantizer).  TENSOR scales couple
+        # rows.
         hook.per_token = gq.granularity is not Granularity.TENSOR
         return hook
     if cfg.method == "ant":

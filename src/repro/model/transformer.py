@@ -8,9 +8,22 @@ Two architecture families mirror the paper's model zoo:
   embeddings, ReLU FFN, pre-norm, tied embeddings (OPT structure).
 
 The training path (:func:`loss_and_grads`) does a full manual backward
-pass; the inference path (:func:`forward_logits`, :func:`decode_step`,
-and the continuous-batching :func:`decode_step_batch`) accepts the
-quantization hooks the accuracy experiments plug in:
+pass.  The inference forwards share one layer body
+(:meth:`TransformerLM._block`) and differ only in how they split
+heads, rotate, write caches and attend:
+
+* :func:`forward_logits` — teacher-forced ``(B, T, d)``, no caches;
+* :func:`forward_mixed` — the one cached forward: any mix of decode
+  rows and prompt chunks packed as ``(1, T, d)``.  :func:`prefill`,
+  :func:`decode_step` and :func:`prefill_chunk` are its one-segment
+  faces, and the serving engine runs one call per tick;
+* :func:`decode_step_batch` — batched decode as ``(B, 1, d)``, whose
+  rows are bitwise the single-stream :func:`decode_step`; the packed
+  ``(1, B, d)`` GEMMs of a multi-segment :func:`forward_mixed` are
+  token-identical to it, not bitwise.
+
+All of them accept the quantization hooks the accuracy experiments
+plug in:
 
 ``weights``
     Substituted (fake-quantized) weight dict.
@@ -37,6 +50,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,7 +68,9 @@ __all__ = ["ModelConfig", "MixedSegment", "TransformerLM", "init_params",
 class MixedSegment:
     """One sequence's slice of a mixed prefill+decode forward.
 
-    ``kind`` selects the KV-cache write path:
+    ``offset`` is the absolute position of ``ids[0]``, which must equal
+    the length of the per-layer ``caches`` it is written to.  ``kind``
+    selects the KV-cache write path:
 
     * ``DECODE`` — one already-sampled token appended at ``offset``
       (the continuous-batching decode row; ``ids`` has length 1);
@@ -180,6 +196,26 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _act_quantizer(act_quant, axis=0, cuts=()):
+    """``q(name, val)`` of every inference forward.  A ``per_token``
+    hook (scales never cross rows) sees the whole packed tensor in one
+    call, each row bit-identical to its single-sequence call; any other
+    hook may couple rows through tensor-wide scales, so it is called
+    once per sequence, on each part of ``val`` split at ``cuts`` along
+    ``axis``."""
+    if act_quant is None:
+        return lambda name, val: val
+    if not cuts or getattr(act_quant, "per_token", False):
+        return act_quant
+
+    def q(name, val):
+        return np.concatenate(
+            [act_quant(name, part) for part in np.split(val, cuts, axis=axis)],
+            axis=axis,
+        )
+    return q
+
+
 class TransformerLM:
     """Stateless model wrapper: params dict in, logits/grads out."""
 
@@ -194,12 +230,73 @@ class TransformerLM:
             self._cos = self._sin = None
 
     # ==================================================================
-    # Normalisation helpers (arch-dependent)
+    # Shared layer pieces
     # ==================================================================
     def _norm_fwd(self, x, params, prefix):
         if self.config.arch == "llama":
             return L.rmsnorm_fwd(x, params[prefix + ".g"])
         return L.layernorm_fwd(x, params[prefix + ".g"], params[prefix + ".b"])
+
+    def _rope(self, rope, qh, kh, pos):
+        """Rotate ``qh``/``kh`` with ``rope`` (one of the
+        ``L.apply_rope*`` variants) at ``pos``; OPT has no rotation."""
+        if self._cos is None:
+            return qh, kh
+        return (rope(qh, self._cos, self._sin, pos),
+                rope(kh, self._cos, self._sin, pos))
+
+    def _check_caches(self, caches, offset) -> None:
+        """Reject a sequence whose per-layer caches cannot take its
+        tokens at ``offset`` — before the forward writes any cache."""
+        n = self.config.n_layers
+        if len(caches) != n:
+            raise ValueError(f"expected {n} per-layer caches, got {len(caches)}")
+        if offset != caches[0].seq_len:
+            raise ValueError(f"offset {offset} disagrees with the cache "
+                             f"length {caches[0].seq_len}")
+
+    def _block(self, x, p, i, q, mixer):
+        """Layer ``i`` of every inference forward: norm1 → act-quant →
+        QKV → *mixer* → O → residual → norm2 → FFN → residual.
+
+        ``q(name, val)`` quantizes each projection input
+        (:func:`_act_quantizer`); ``mixer(i, qp, kp, vp)`` maps the
+        layer's Q/K/V projections, shaped like ``x``, to the merged
+        attention output.  Head split, RoPE variant, cache writes and
+        attention are all a forward does differently; every other op
+        runs on the caller's own ``x`` shape, so each forward keeps its
+        GEMM shapes and therefore its bits.
+        """
+        pre = f"layers.{i}."
+        h, _ = self._norm_fwd(x, p, pre + "norm1")
+        h_in = q(pre + "attn.wq", h)
+        qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
+        kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
+        vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
+        att = mixer(i, qp, kp, vp)
+        o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
+        x = x + o
+
+        h2, _ = self._norm_fwd(x, p, pre + "norm2")
+        if self.config.arch == "llama":
+            h2q = q(pre + "ffn.wgate", h2)
+            g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
+            u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
+            act, _ = L.silu_fwd(g)
+            ff, _ = L.linear_fwd(q(pre + "ffn.wdown", act * u), p[pre + "ffn.wdown"])
+        else:
+            h2q = q(pre + "ffn.w1", h2)
+            a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
+            act, _ = L.relu_fwd(a1)
+            ff, _ = L.linear_fwd(q(pre + "ffn.w2", act), p[pre + "ffn.w2"])
+        return x + ff
+
+    def _stack(self, x, p, q, mixer):
+        """Every layer's :meth:`_block`, then the final norm."""
+        for i in range(self.config.n_layers):
+            x = self._block(x, p, i, q, mixer)
+        xf, _ = self._norm_fwd(x, p, "norm_f")
+        return xf
 
     # ==================================================================
     # Inference forward (with quantization hooks)
@@ -225,48 +322,16 @@ class TransformerLM:
         if cfg.arch == "opt":
             x = x + p["pos_embed"][: ids.shape[1]]
 
-        def q(name, val):
-            return val if act_quant is None else act_quant(name, val)
-
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            h, _ = self._norm_fwd(x, p, pre + "norm1")
-            h_in = q(pre + "attn.wq", h)
-            qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
-            kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
-            vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
-            qh = _split_heads(qp, cfg.n_heads)
-            kh = _split_heads(kp, cfg.n_heads)
-            vh = _split_heads(vp, cfg.n_heads)
-            if cfg.arch == "llama":
-                qh = L.apply_rope(qh, self._cos, self._sin)
-                kh = L.apply_rope(kh, self._cos, self._sin)
+        def mixer(i, qp, kp, vp):
+            qh, kh, vh = (_split_heads(a, cfg.n_heads) for a in (qp, kp, vp))
+            qh, kh = self._rope(L.apply_rope, qh, kh, 0)
             if kv_quant is not None:
                 qh, kh, vh = kv_quant(i, qh, kh, vh)
             att, _ = L.causal_attention_fwd(qh, kh, vh)
-            att = _merge_heads(att)
-            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
-            x = x + o
+            return _merge_heads(att)
 
-            h2, _ = self._norm_fwd(x, p, pre + "norm2")
-            if cfg.arch == "llama":
-                h2q = q(pre + "ffn.wgate", h2)
-                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
-                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
-                act, _ = L.silu_fwd(g)
-                ff_in = q(pre + "ffn.wdown", act * u)
-                ff, _ = L.linear_fwd(ff_in, p[pre + "ffn.wdown"])
-            else:
-                h2q = q(pre + "ffn.w1", h2)
-                a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
-                act, _ = L.relu_fwd(a1)
-                ff_in = q(pre + "ffn.w2", act)
-                ff, _ = L.linear_fwd(ff_in, p[pre + "ffn.w2"])
-            x = x + ff
-
-        xf, _ = self._norm_fwd(x, p, "norm_f")
-        logits = xf @ p["embed"].T
-        return logits
+        xf = self._stack(x, p, _act_quantizer(act_quant), mixer)
+        return xf @ p["embed"].T
 
     # ==================================================================
     # Generation with per-layer KV caches
@@ -278,15 +343,26 @@ class TransformerLM:
         Caches receive per-head tensors shaped ``(H, T, d_head)`` —
         batch size 1 is assumed for generation, as in the paper's
         single-batch decode scenario.
+
+        One ``CHUNK_FINAL`` segment at offset 0 through
+        :meth:`forward_mixed`'s packed body (``prefill_chunk(final=True)``
+        on an empty cache *is* a prefill).  Unlike :meth:`forward_mixed`
+        it projects every prompt row onto the vocabulary: the last row
+        of a ``(T, d)`` GEMM is not bitwise the lone-row GEMV, and the
+        whole-prompt logits stay those of the full projection.
         """
-        x = self._run_tokens(ids[None, :], caches, offset=0, weights=weights, act_quant=act_quant)
-        return x[0, -1]
+        p = self.params if weights is None else weights
+        seg = MixedSegment(ids, caches, 0, MixedSegment.CHUNK_FINAL)
+        xf, _ = self._forward_packed([seg], p, act_quant)
+        return (xf @ p["embed"].T)[0, -1]
 
     def decode_step(self, token: int, caches: list, pos: int, weights=None, act_quant=None) -> np.ndarray:
-        """One decode iteration: append to caches, return logits (V,)."""
-        ids = np.asarray([[token]])
-        x = self._run_tokens(ids, caches, offset=pos, weights=weights, act_quant=act_quant)
-        return x[0, -1]
+        """One decode iteration: append to caches, return logits (V,).
+
+        A single ``DECODE`` segment through :meth:`forward_mixed`.
+        """
+        seg = MixedSegment([token], caches, pos, MixedSegment.DECODE)
+        return self.forward_mixed([seg], weights=weights, act_quant=act_quant)[0]
 
     def decode_step_batch(
         self,
@@ -304,18 +380,17 @@ class TransformerLM:
         ``positions``: length-``B`` absolute positions of those tokens.
         Returns logits ``(B, V)``.  ``trace``, when given, is a span
         factory (``trace("append")`` returns a context manager) and the
-        per-layer cache writes are timed under ``append`` spans — the
-        serving engine's tick tracer plugs in here.
+        per-layer cache writes are timed under ``append`` spans.
 
-        The dense projections and FFN run batched ``(B, 1, d)`` — one
-        pass through the layer stack instead of ``B`` — while attention
-        walks each sequence's own cache at its own position (sequence
-        lengths are ragged under continuous batching).  Every
-        per-sequence op has the same operand shapes as
+        The dense projections and FFN run batched ``(B, 1, d)`` while
+        attention walks each sequence's own cache at its own position.
+        Every per-sequence op has the same operand shapes as
         :meth:`decode_step` (numpy matmul applies the ``(1, d)``
         kernels per batch row), so row ``b`` of the result is
-        bit-identical to the single-stream step — the invariant the
-        serving engine's greedy-equivalence guarantee rests on.
+        bit-identical to the single-stream step.  The serving engine
+        runs :meth:`forward_mixed` instead, whose packed ``(1, B, d)``
+        GEMMs are token-identical, not bitwise; this method is the
+        model-level bitwise oracle for batched decode.
         """
         cfg = self.config
         p = self.params if weights is None else weights
@@ -323,74 +398,30 @@ class TransformerLM:
         if not (bsz == len(caches_per_seq) == len(positions)):
             raise ValueError("tokens, caches_per_seq and positions must align")
         positions = np.asarray(positions, dtype=np.int64)
+        for caches, pos in zip(caches_per_seq, positions):
+            self._check_caches(caches, pos)
         ids = np.asarray(tokens, dtype=np.int64).reshape(bsz, 1)
         x, _ = L.embedding_fwd(ids, p["embed"])               # (B, 1, d)
         if cfg.arch == "opt":
             x = x + p["pos_embed"][positions][:, None, :]
 
-        per_token = getattr(act_quant, "per_token", False)
-
-        def q(name, val):
-            # A per-token hook sees the whole (B, 1, d) batch in one call:
-            # its scales never cross rows, so each row is bit-identical to
-            # the single-stream step's (1, 1, d) call.  Any other hook may
-            # compute scales over the whole tensor, which would couple
-            # sequences, so it is called once per sequence.
-            if act_quant is None:
-                return val
-            if per_token:
-                return act_quant(name, val)
-            return np.concatenate(
-                [act_quant(name, val[b : b + 1]) for b in range(bsz)]
-            )
-
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            h, _ = self._norm_fwd(x, p, pre + "norm1")
-            h_in = q(pre + "attn.wq", h)
-            qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
-            kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
-            vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
-            qh = _split_heads(qp, cfg.n_heads)                # (B, H, 1, dh)
-            kh = _split_heads(kp, cfg.n_heads)
-            vh = _split_heads(vp, cfg.n_heads)
-            if cfg.arch == "llama":
-                qh = L.apply_rope_at(qh, self._cos, self._sin, positions)
-                kh = L.apply_rope_at(kh, self._cos, self._sin, positions)
-            layer_caches = [caches_per_seq[b][i] for b in range(bsz)]
-            # Fused when the caches' configs allow, one quantization call
-            # for the whole batch — bit-identical to per-cache appends;
-            # append_batch itself falls back to the loop on mixed setups.
+        def mixer(i, qp, kp, vp):
+            qh, kh, vh = (_split_heads(a, cfg.n_heads) for a in (qp, kp, vp))
+            qh, kh = self._rope(L.apply_rope_at, qh, kh, positions)  # (B, H, 1, dh)
+            layer_caches = [caches[i] for caches in caches_per_seq]
             with _NULL_CTX if trace is None else trace("append"):
                 type(layer_caches[0]).append_batch(
                     layer_caches, kh[:, :, 0, :], vh[:, :, 0, :]
                 )
-            att_rows = []
-            for b, cache in enumerate(layer_caches):
-                att_rows.append(
-                    L.cached_attention_fwd(
-                        qh[b], cache.keys(), cache.values(), offset=int(positions[b])
-                    )
-                )
-            att = _merge_heads(np.stack(att_rows))            # (B, 1, d)
-            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
-            x = x + o
+            att = [
+                L.cached_attention_fwd(qh[b], cache.keys(), cache.values(),
+                                       offset=int(positions[b]))
+                for b, cache in enumerate(layer_caches)
+            ]
+            return _merge_heads(np.stack(att))                # (B, 1, d)
 
-            h2, _ = self._norm_fwd(x, p, pre + "norm2")
-            if cfg.arch == "llama":
-                h2q = q(pre + "ffn.wgate", h2)
-                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
-                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
-                act, _ = L.silu_fwd(g)
-                ff, _ = L.linear_fwd(q(pre + "ffn.wdown", act * u), p[pre + "ffn.wdown"])
-            else:
-                h2q = q(pre + "ffn.w1", h2)
-                a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
-                act, _ = L.relu_fwd(a1)
-                ff, _ = L.linear_fwd(q(pre + "ffn.w2", act), p[pre + "ffn.w2"])
-            x = x + ff
-
-        xf, _ = self._norm_fwd(x, p, "norm_f")
+        q = _act_quantizer(act_quant, axis=0, cuts=list(range(1, bsz)))
+        xf = self._stack(x, p, q, mixer)
         return (xf @ p["embed"].T)[:, -1]                     # (B, V)
 
     def prefill_chunk(self, ids, caches, offset=0, final=False,
@@ -418,16 +449,18 @@ class TransformerLM:
 
         ``segments`` is a list of :class:`MixedSegment`s — any mix of
         single-token decode rows and multi-token prompt chunks, each
-        with its own per-layer caches and absolute ``offset``.  All
-        segments are packed along one time axis so every dense op (the
-        projections, the FFN, the norms — all position-independent per
-        token) runs once for the whole tick, while RoPE gathers each
-        token's own rotation row and attention walks each segment's own
-        cache at its ragged position through the
+        with its own per-layer caches and absolute ``offset``, which
+        must equal the caches' current length.  All segments are packed
+        along one time axis so every dense op (the projections, the
+        FFN, the norms — all position-independent per token) runs once
+        for the whole tick, while RoPE gathers each token's own
+        rotation row and attention walks each segment's own cache at
+        its ragged position through the
         :func:`~repro.model.layers.cached_attention_fwd` seam.  Decode
-        rows fuse their cache appends through ``append_batch`` exactly
-        like :meth:`decode_step_batch`; chunk segments extend their
-        caches with ``prefill_chunk``.
+        rows fuse their cache appends into one ``append_batch``; chunk
+        segments extend their caches with ``prefill_chunk``.  Every
+        segment is validated before any cache is written.  ``trace`` is
+        :meth:`decode_step_batch`'s span factory.
 
         Returns one entry per segment: last-position logits ``(V,)``
         for decode rows and final chunks, ``None`` for non-final chunks
@@ -438,168 +471,80 @@ class TransformerLM:
         single-sequence math (group-wise ops are row-independent), but
         the packed GEMMs may differ from the per-sequence ones by float
         rounding in the last ulp — BLAS kernels are not bitwise
-        invariant to row count — so mixed-tick output is guaranteed
-        token-identical (quantization grids absorb ulp noise), not
-        logits-bitwise-identical, to the unpacked paths.  ``act_quant``
-        follows :meth:`decode_step_batch`'s rule: a ``per_token`` hook
-        is called once on the packed ``(1, T, d)`` tensor, any other
-        hook once per segment.  Chunked prefill is exact only for
-        per-token hooks; a hook with tensor-wide scales sees one chunk
-        at a time instead of the whole prompt.
+        invariant to row count — so a multi-segment forward is
+        guaranteed token-identical (quantization grids absorb ulp
+        noise), not logits-bitwise-identical, to the single-sequence
+        calls.  A one-segment forward is the single-sequence call.
+        ``act_quant``: a ``per_token`` hook is called once on the packed
+        ``(1, T, d)`` tensor, any other hook once per segment.  Chunked
+        prefill is exact only for per-token hooks; a hook with
+        tensor-wide scales sees one chunk at a time instead of the
+        whole prompt.
         """
-        cfg = self.config
-        p = self.params if weights is None else weights
         if not segments:
             return []
-        spans = []                                   # packed [start, end) per segment
-        start = 0
-        for seg in segments:
-            spans.append((start, start + seg.ids.size))
-            start += seg.ids.size
-        ids_packed = np.concatenate([seg.ids for seg in segments])[None, :]
-        positions = np.concatenate(
-            [seg.offset + np.arange(seg.ids.size, dtype=np.int64) for seg in segments]
-        )
-        x, _ = L.embedding_fwd(ids_packed, p["embed"])        # (1, T, d)
-        if cfg.arch == "opt":
-            x = x + p["pos_embed"][positions][None, :, :]
-
-        decode_idx = [i for i, seg in enumerate(segments)
-                      if seg.kind == MixedSegment.DECODE]
-        decode_starts = np.asarray([spans[i][0] for i in decode_idx], dtype=np.int64)
-
-        per_token = getattr(act_quant, "per_token", False)
-
-        def q(name, val):
-            # decode_step_batch's rule: one call on the packed tensor for
-            # a per-token hook, else one per segment so that tensor-wide
-            # scales do not couple sequences.
-            if act_quant is None:
-                return val
-            if per_token:
-                return act_quant(name, val)
-            return np.concatenate(
-                [act_quant(name, val[:, s:e]) for s, e in spans], axis=1
-            )
-
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            h, _ = self._norm_fwd(x, p, pre + "norm1")
-            h_in = q(pre + "attn.wq", h)
-            qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
-            kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
-            vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
-            qh = _split_heads(qp, cfg.n_heads)[0]             # (H, T, dh)
-            kh = _split_heads(kp, cfg.n_heads)[0]
-            vh = _split_heads(vp, cfg.n_heads)[0]
-            if cfg.arch == "llama":
-                qh = L.apply_rope_ragged(qh, self._cos, self._sin, positions)
-                kh = L.apply_rope_ragged(kh, self._cos, self._sin, positions)
-            # Cache writes: decode rows fuse one append_batch across the
-            # tick (same as decode_step_batch), chunks extend per segment.
-            with _NULL_CTX if trace is None else trace("append"):
-                if decode_idx:
-                    layer_caches = [segments[j].caches[i] for j in decode_idx]
-                    type(layer_caches[0]).append_batch(
-                        layer_caches,
-                        kh[:, decode_starts, :].transpose(1, 0, 2),
-                        vh[:, decode_starts, :].transpose(1, 0, 2),
-                    )
-                for seg, (s, e) in zip(segments, spans):
-                    if seg.kind != MixedSegment.DECODE:
-                        seg.caches[i].prefill_chunk(
-                            kh[:, s:e, :], vh[:, s:e, :],
-                            final=seg.kind == MixedSegment.CHUNK_FINAL,
-                        )
-            att_rows = []
-            for seg, (s, e) in zip(segments, spans):
-                cache = seg.caches[i]
-                att_rows.append(
-                    L.cached_attention_fwd(
-                        qh[:, s:e, :], cache.keys(), cache.values(),
-                        offset=seg.offset,
-                    )
-                )
-            att = _merge_heads(np.concatenate(att_rows, axis=1)[None])  # (1, T, d)
-            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
-            x = x + o
-
-            h2, _ = self._norm_fwd(x, p, pre + "norm2")
-            if cfg.arch == "llama":
-                h2q = q(pre + "ffn.wgate", h2)
-                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
-                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
-                act, _ = L.silu_fwd(g)
-                ff, _ = L.linear_fwd(q(pre + "ffn.wdown", act * u), p[pre + "ffn.wdown"])
-            else:
-                h2q = q(pre + "ffn.w1", h2)
-                a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
-                act, _ = L.relu_fwd(a1)
-                ff, _ = L.linear_fwd(q(pre + "ffn.w2", act), p[pre + "ffn.w2"])
-            x = x + ff
-
-        xf, _ = self._norm_fwd(x, p, "norm_f")
+        p = self.params if weights is None else weights
+        xf, ends = self._forward_packed(segments, p, act_quant, trace)
         # Vocabulary projection only for rows something will sample.
         need = [j for j, seg in enumerate(segments) if seg.wants_logits]
-        rows = xf[0, [spans[j][1] - 1 for j in need]]         # (n, d)
-        logits = rows @ p["embed"].T
+        logits = xf[0, [ends[j] - 1 for j in need]] @ p["embed"].T  # (n, V)
         out: list = [None] * len(segments)
         for r, j in enumerate(need):
             out[j] = logits[r]
         return out
 
-    def _run_tokens(self, ids, caches, offset, weights=None, act_quant=None):
+    def _forward_packed(self, segments, p, act_quant, trace=None):
+        """:meth:`forward_mixed` up to the final norm: the packed hidden
+        states ``(1, T, d)`` and each segment's end in the pack."""
         cfg = self.config
-        p = self.params if weights is None else weights
-        t = ids.shape[1]
-        x, _ = L.embedding_fwd(ids, p["embed"])
+        for seg in segments:
+            self._check_caches(seg.caches, seg.offset)
+        lens = [seg.ids.size for seg in segments]
+        ends = list(accumulate(lens))
+        spans = [(e - k, e) for e, k in zip(ends, lens)]
+        positions = np.repeat(
+            [seg.offset - s for seg, (s, _) in zip(segments, spans)], lens
+        ) + np.arange(ends[-1])
+        ids = np.concatenate([seg.ids for seg in segments])[None, :]
+        x, _ = L.embedding_fwd(ids, p["embed"])              # (1, T, d)
         if cfg.arch == "opt":
-            x = x + p["pos_embed"][offset : offset + t]
+            x = x + p["pos_embed"][positions][None, :, :]
 
-        def q(name, val):
-            return val if act_quant is None else act_quant(name, val)
+        decode = [seg for seg in segments if seg.kind == MixedSegment.DECODE]
+        rows = [s for seg, (s, _) in zip(segments, spans)
+                if seg.kind == MixedSegment.DECODE]
+        if rows and rows[-1] - rows[0] == len(rows) - 1:
+            # Contiguous decode rows (the engine packs them first) are
+            # one slice of the pack: the K/V writes skip a gather.
+            rows = slice(rows[0], rows[-1] + 1)
+        chunks = [(seg, s, e) for seg, (s, e) in zip(segments, spans)
+                  if seg.kind != MixedSegment.DECODE]
 
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            h, _ = self._norm_fwd(x, p, pre + "norm1")
-            h_in = q(pre + "attn.wq", h)
-            qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
-            kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
-            vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
-            qh = _split_heads(qp, cfg.n_heads)[0]   # (H, t, dh)
-            kh = _split_heads(kp, cfg.n_heads)[0]
-            vh = _split_heads(vp, cfg.n_heads)[0]
-            if cfg.arch == "llama":
-                qh = L.apply_rope(qh, self._cos, self._sin, offset=offset)
-                kh = L.apply_rope(kh, self._cos, self._sin, offset=offset)
-            cache = caches[i]
-            if offset == 0:
-                cache.prefill(kh, vh)
-            else:
-                for j in range(t):
-                    cache.append(kh[:, j, :], vh[:, j, :])
-            att = L.cached_attention_fwd(qh, cache.keys(), cache.values(),
-                                         offset=offset)      # (H, t, dh)
-            att = _merge_heads(att[None])
-            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
-            x = x + o
+        def mixer(i, qp, kp, vp):
+            qh, kh, vh = (_split_heads(a, cfg.n_heads)[0] for a in (qp, kp, vp))
+            qh, kh = self._rope(L.apply_rope_ragged, qh, kh, positions)  # (H, T, dh)
+            with _NULL_CTX if trace is None else trace("append"):
+                if decode:
+                    layer_caches = [seg.caches[i] for seg in decode]
+                    type(layer_caches[0]).append_batch(
+                        layer_caches,
+                        kh[:, rows, :].transpose(1, 0, 2),
+                        vh[:, rows, :].transpose(1, 0, 2),
+                    )
+                for seg, s, e in chunks:
+                    seg.caches[i].prefill_chunk(
+                        kh[:, s:e, :], vh[:, s:e, :],
+                        final=seg.kind == MixedSegment.CHUNK_FINAL,
+                    )
+            att = [
+                L.cached_attention_fwd(qh[:, s:e, :], seg.caches[i].keys(),
+                                       seg.caches[i].values(), offset=seg.offset)
+                for seg, (s, e) in zip(segments, spans)
+            ]
+            return _merge_heads(np.concatenate(att, axis=1)[None])  # (1, T, d)
 
-            h2, _ = self._norm_fwd(x, p, pre + "norm2")
-            if cfg.arch == "llama":
-                h2q = q(pre + "ffn.wgate", h2)
-                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
-                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
-                act, _ = L.silu_fwd(g)
-                ff, _ = L.linear_fwd(q(pre + "ffn.wdown", act * u), p[pre + "ffn.wdown"])
-            else:
-                h2q = q(pre + "ffn.w1", h2)
-                a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
-                act, _ = L.relu_fwd(a1)
-                ff, _ = L.linear_fwd(q(pre + "ffn.w2", act), p[pre + "ffn.w2"])
-            x = x + ff
-
-        xf, _ = self._norm_fwd(x, p, "norm_f")
-        return xf @ p["embed"].T
+        q = _act_quantizer(act_quant, axis=1, cuts=ends[:-1])
+        return self._stack(x, p, q, mixer), ends
 
     # ==================================================================
     # Training: loss + full gradients

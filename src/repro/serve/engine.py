@@ -60,23 +60,27 @@ Two storage backends share this loop:
   and preemption-by-recompute (policy-chosen victim, back to the queue)
   when the pool runs dry mid-decode.
 
-Determinism guarantee: the batched decode path is bit-identical per
-sequence to the single-stream loop and every sample draws from its
-own seeded RNG, so a request's output never depends on which other
-requests shared its batch — under the default FCFS policy, greedy
+Determinism guarantee: every tick is one
+:meth:`~repro.model.transformer.TransformerLM.forward_mixed` call
+(decode-only ticks are all-``DECODE`` segments), and every sample draws
+from its own seeded RNG, so a request's output never depends on which
+other requests shared its batch — under the default FCFS policy, greedy
 engine output == the plain ``prefill`` + ``decode_step`` loop, token
-for token, for every cache type and for both storage backends.
-Chunked mode keeps this at token granularity: chunk boundaries land on
-quantization-window boundaries by construction, so the caches'
-quantized contents are chunk-invariant, while the packed GEMMs may
-wobble in the last float ulp (BLAS kernels are not bitwise
-row-count-invariant) — greedy output stays identical token for token,
-and decode-only ticks still route through ``decode_step_batch``
-unchanged.  (Preemption is the one exception: a preempted request's
-suffix is *recomputed* through the prefill path, which re-quantizes
-decode-staged MANT windows from scratch — the same trade every
-recompute-based paged server makes.  A preempted half-prefilled prompt
-simply replays from token zero.)
+for token, for every cache type, both storage backends and both
+prefill modes.  The guarantee is token-level, not bitwise: cache
+quantization is per token (and chunk boundaries land on
+quantization-window boundaries by construction), so the one thing
+separating a tick from the single-stream loop is that the packed
+``(1, T, d)`` GEMMs may wobble in the last float ulp against the
+single-stream ``(1, 1, d)`` ones — BLAS kernels are not bitwise
+row-count-invariant — and quantization grids absorb that wobble.  The
+bitwise batched-decode oracle lives at model level:
+:meth:`~repro.model.transformer.TransformerLM.decode_step_batch` rows
+equal ``decode_step`` byte for byte.  (Preemption is the one
+exception: a preempted request's suffix is *recomputed* through the
+prefill path, which re-quantizes decode-staged MANT windows from
+scratch — the same trade every recompute-based paged server makes.  A
+preempted half-prefilled prompt simply replays from token zero.)
 """
 
 from __future__ import annotations
@@ -826,12 +830,13 @@ class GenerationEngine:
         """One engine tick: admit, one fused forward, retire finished.
 
         Unchunked (``prefill_chunk_tokens is None``): admitted prompts
-        prefill whole at admission, then every live sequence rides one
-        ``decode_step_batch``.  Chunked: admission only leases cache
-        storage and opens a :class:`~repro.serve.request.PrefillCursor`;
-        the tick then packs the decode rows plus a token-budgeted set
-        of prompt chunks into one ``forward_mixed`` call (pure-decode
-        ticks keep the bit-exact ``decode_step_batch`` path).
+        prefill whole at admission (``model.prefill``).  Chunked:
+        admission only leases cache storage and opens a
+        :class:`~repro.serve.request.PrefillCursor`, and the tick's
+        token budget picks prompt chunks.  Either way the tick then
+        packs every decode row plus any chunks into one
+        ``forward_mixed`` call — a decode-only tick is all-``DECODE``
+        segments — token-identical to the single-stream loop.
         """
         if not self.scheduler.has_work():
             return []
@@ -864,10 +869,8 @@ class GenerationEngine:
                 with tracer.span("plan"):
                     decode, chunks = self._plan_tick(events)
                 try:
-                    if chunks:
+                    if decode or chunks:
                         self._mixed_tick(decode, chunks, events)
-                    elif decode:
-                        self._decode_tick(decode, events)
                 except PoolExhausted:
                     raise            # genuine capacity error, not a fault
                 except Exception as exc:
@@ -1121,30 +1124,9 @@ class GenerationEngine:
                         FINISH_ERROR, sample=seq.sample_index,
                     ))
 
-    def _decode_tick(self, live: list, events: list) -> None:
-        """One fused ``decode_step_batch`` over every decode row —
-        unchanged from the pre-chunking engine, so decode-only ticks
-        stay bit-identical to the single-stream loop."""
-        with self._tracer.span("forward"):
-            logits = self.model.decode_step_batch(
-                [s.next_token for s in live],
-                [s.lease.caches for s in live],
-                [s.pos for s in live],
-                weights=self.weights, act_quant=self.act_quant,
-                trace=self._model_trace,
-            )
-        self._decode_ticks.inc()
-        self._occupancy_sum.inc(len(live))
-        with self._tracer.span("sample"):
-            for b, seq in enumerate(live):
-                seq.pos += 1
-                seq.decode_steps += 1
-                if seq.finished:
-                    continue   # cancelled mid-tick by a reentrant callback
-                self._emit(seq, seq.sampler.sample(logits[b]), events)
-
     def _mixed_tick(self, decode: list, chunks: list, events: list) -> None:
-        """One packed ``forward_mixed`` over decode rows + prompt chunks."""
+        """The tick's one forward: a packed ``forward_mixed`` over the
+        decode rows plus any prompt chunks."""
         tracer = self._tracer
         with tracer.span("pack_prefill"):
             segments = [

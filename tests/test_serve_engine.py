@@ -453,3 +453,89 @@ class TestStreaming:
         assert st.tokens_per_s > 0
         assert st.mean_queue_latency_s >= 0
         assert st.cache_slots == 2
+
+
+# ======================================================================
+# One serving forward
+# ======================================================================
+class TestOneForward:
+    @pytest.mark.parametrize("config", [
+        ServeConfig(max_batch_size=3),
+        ServeConfig.chunked(block_tokens=16, max_batch_size=3),
+    ], ids=["arena_unchunked", "paged_chunked"])
+    def test_decode_only_ticks_call_forward_mixed_once(self, model, config,
+                                                       monkeypatch):
+        calls = []
+        real_mixed, real_batch = model.forward_mixed, model.decode_step_batch
+
+        def mixed(segments, *args, **kwargs):
+            calls.append(("forward_mixed", [s.kind for s in segments]))
+            return real_mixed(segments, *args, **kwargs)
+
+        def batch(*args, **kwargs):
+            calls.append(("decode_step_batch", None))
+            return real_batch(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_mixed", mixed)
+        monkeypatch.setattr(model, "decode_step_batch", batch)
+        engine = GenerationEngine(model, CACHE_FACTORIES["mant4"], config)
+        for i, p in enumerate(prompts(3, seed=40, lo=20, hi=40)):
+            engine.submit(GenerationRequest(f"r{i}", p, max_tokens=6))
+        decode_only = 0
+        while engine.scheduler.has_work():
+            calls.clear()
+            engine.step()
+            assert [name for name, _ in calls] == ["forward_mixed"]
+            decode_only += set(calls[0][1]) == {MixedSegment.DECODE}
+        assert decode_only >= 5
+
+
+class TestForwardValidation:
+    """Bad segments raise before any cache is written."""
+
+    @staticmethod
+    def prefilled(model, factory, n_tokens):
+        caches = [factory() for _ in range(model.config.n_layers)]
+        model.prefill(prompts(1, seed=41, lo=n_tokens, hi=n_tokens + 1)[0], caches)
+        return caches
+
+    @staticmethod
+    def lengths(*cache_lists):
+        return [c.seq_len for caches in cache_lists for c in caches]
+
+    @pytest.mark.parametrize("cache_name", list(CACHE_FACTORIES))
+    def test_short_cache_list_rejected_before_writes(self, model, cache_name):
+        factory = CACHE_FACTORIES[cache_name]
+        good = self.prefilled(model, factory, 5)
+        short = self.prefilled(model, factory, 5)[:1]
+        before = self.lengths(good, short)
+        segs = [MixedSegment([1], good, 5, MixedSegment.DECODE),
+                MixedSegment([2], short, 5, MixedSegment.DECODE)]
+        with pytest.raises(ValueError, match="per-layer caches"):
+            model.forward_mixed(segs)
+        chunk = MixedSegment(np.arange(16), short, 5, MixedSegment.CHUNK)
+        with pytest.raises(ValueError, match="per-layer caches"):
+            model.forward_mixed([segs[0], chunk])
+        assert self.lengths(good, short) == before
+
+    @pytest.mark.parametrize("cache_name", list(CACHE_FACTORIES))
+    def test_offset_disagreeing_with_cache_rejected(self, model, cache_name):
+        factory = CACHE_FACTORIES[cache_name]
+        caches = self.prefilled(model, factory, 5)
+        other = self.prefilled(model, factory, 5)
+        before = self.lengths(caches, other)
+        with pytest.raises(ValueError, match="offset 3"):
+            model.decode_step(1, caches, pos=3)
+        with pytest.raises(ValueError, match="offset 0"):
+            model.prefill(np.arange(4), caches)
+        with pytest.raises(ValueError, match="offset 6"):
+            model.decode_step_batch([1, 2], [other, caches], [5, 6])
+        with pytest.raises(ValueError, match="offset 4"):
+            model.forward_mixed([
+                MixedSegment([1], other, 5, MixedSegment.DECODE),
+                MixedSegment([2], caches, 4, MixedSegment.DECODE),
+            ])
+        assert self.lengths(caches, other) == before
+        # The validated call still goes through afterwards.
+        model.decode_step(1, caches, pos=5)
+        assert caches[0].seq_len == 6

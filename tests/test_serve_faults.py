@@ -401,10 +401,11 @@ class TestForwardFaults:
 
     def test_real_forward_exception_recovers_all_participants(self, model):
         # A real exception mid-fused-call is unattributable: everyone in
-        # the batch recomputes, and the tick after that is clean.
+        # the batch recomputes, and the tick after that is clean.  Every
+        # engine tick, decode-only ones included, is one forward_mixed.
         ps = prompts(3, seed=13)
         eng = make_engine(model, "paged", max_retries=1)
-        real = model.decode_step_batch
+        real = model.forward_mixed
         state = {"armed": False, "raised": 0}
 
         def flaky(*args, **kwargs):
@@ -414,7 +415,7 @@ class TestForwardFaults:
                 raise ValueError("simulated kernel failure")
             return real(*args, **kwargs)
 
-        model.decode_step_batch = flaky
+        model.forward_mixed = flaky
         try:
             for i, p in enumerate(ps):
                 eng.submit(GenerationRequest(f"r{i}", p, max_tokens=10))
@@ -422,7 +423,7 @@ class TestForwardFaults:
             state["armed"] = True
             eng.generate()               # next decode tick raises
         finally:
-            model.decode_step_batch = real
+            model.forward_mixed = real
         assert state["raised"] == 1
         check_bystanders(model, eng, "fp16", ps, set(), 10)
         assert eng.stats().retries == 3          # every participant charged

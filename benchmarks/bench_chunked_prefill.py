@@ -54,7 +54,6 @@ LONG_EVERY = 8             # ticks between long-prompt arrivals: frequent
 def chunked_config(max_batch: int = BATCH) -> ServeConfig:
     return ServeConfig(
         max_batch_size=max_batch,
-        paged=True,
         block_tokens=BLOCK_TOKENS,
         prefill_chunk_tokens=CHUNK_TOKENS,
         max_tokens_per_tick=TICK_BUDGET,

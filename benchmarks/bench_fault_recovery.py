@@ -107,7 +107,7 @@ def recovery_latency(model, cache_name: str = "fp16"):
         FORWARD, victim, after=FAULT_AFTER, transient=True)
     engine = GenerationEngine(
         model, factory,
-        ServeConfig(max_batch_size=BATCH, paged=True, block_tokens=32,
+        ServeConfig(max_batch_size=BATCH, block_tokens=32,
                     max_retries=RECOVERY_RETRIES),
         faults=injector,
     )

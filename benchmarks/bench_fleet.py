@@ -139,18 +139,12 @@ def fleet_workload(model, cache_name: str = "fp16"):
 
 
 def _storage_baseline(router) -> None:
-    """Every replica's pool/arena must be back at baseline post-run."""
+    """Every replica's pool must be back at baseline post-run."""
     for engine in router.replicas:
-        if engine.pool is not None:
-            assert engine.pool.blocks_in_use == 0, (
-                f"{engine.pool.blocks_in_use} pool blocks still "
-                "referenced after the fleet run"
-            )
-        else:
-            assert engine.arena.slots_in_use == 0, (
-                f"{engine.arena.slots_in_use} arena slots still leased "
-                "after the fleet run"
-            )
+        assert engine.pool.blocks_in_use == 0, (
+            f"{engine.pool.blocks_in_use} pool blocks still "
+            "referenced after the fleet run"
+        )
     router.check_invariants()
 
 

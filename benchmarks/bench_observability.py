@@ -97,7 +97,7 @@ def capture_trace(model, cache_name: str = "fp16", path: str | None = None):
         FORWARD, victim, after=FAULT_AFTER, transient=True)
     engine = GenerationEngine(
         model, factory,
-        ServeConfig(max_batch_size=BATCH, paged=True, block_tokens=32,
+        ServeConfig(max_batch_size=BATCH, block_tokens=32,
                     prefill_chunk_tokens=32, max_tokens_per_tick=64),
         faults=injector,
     )

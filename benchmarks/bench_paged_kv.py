@@ -1,21 +1,12 @@
-"""Paged vs contiguous-arena KV cache: throughput parity + prefix reuse.
+"""Paged KV cache: prefill-block reuse under a shared prompt prefix.
 
-Two questions, answered on the unit-test model at batch 8:
-
-1. **Throughput parity.**  Paging gathers non-contiguous pages at
-   attention time and allocates on demand per tick; that bookkeeping
-   must not cost real decode throughput.  The same workload as
-   ``bench_serve_throughput.py`` runs through the arena engine and the
-   paged engine; ``check_perf.py --check-speedups`` enforces paged
-   >= 0.9x arena (the "within 10%" acceptance floor).
-
-2. **Prefill-block reuse.**  A shared-prefix workload (every request
-   starts with one common system prompt) measures how many prompt
-   pages the hash-based prefix cache deduplicates: *reuse* is tokens
-   prefilled divided by the tokens actually allocated for them
-   (``block_tokens x freshly written prefill pages``).  The arena
-   engine always re-materializes every prompt, so its reuse is 1.0 by
-   construction; the acceptance floor for the paged engine is >= 1.5x.
+Answered on the unit-test model at batch 8: a shared-prefix workload
+(every request starts with one common system prompt) measures how many
+prompt pages the hash-based prefix cache deduplicates.  *Reuse* is
+tokens prefilled divided by the tokens actually allocated for them
+(``block_tokens x freshly written prefill pages``).  Storage that
+re-materializes every prompt has reuse 1.0 by construction;
+``check_perf.py --check-speedups`` enforces >= 1.5x.
 
 Run:  PYTHONPATH=src python benchmarks/bench_paged_kv.py
 """
@@ -33,14 +24,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from repro.model.zoo import get_model
 from repro.serve import GenerationEngine, GenerationRequest, ServeConfig
 
-from bench_serve_throughput import (
-    CACHE_FACTORIES,
-    MAX_TOKENS,
-    N_REQUESTS,
-    PROMPT_LEN,
-    make_requests,
-    run_workload,
-)
+from bench_serve_throughput import CACHE_FACTORIES, MAX_TOKENS, N_REQUESTS
 
 BATCH = 8
 BLOCK_TOKENS = 32          # multiple of the mant4 window (32) in CACHE_FACTORIES
@@ -51,7 +35,6 @@ TAIL_LEN = 8               # unique per-request suffix
 def paged_config(max_batch: int = BATCH, enable_prefix_cache: bool = True) -> ServeConfig:
     return ServeConfig(
         max_batch_size=max_batch,
-        paged=True,
         block_tokens=BLOCK_TOKENS,
         enable_prefix_cache=enable_prefix_cache,
     )
@@ -73,21 +56,6 @@ def make_shared_prefix_requests(vocab_size: int, n_requests: int = N_REQUESTS,
         )
         for i in range(n_requests)
     ]
-
-
-def throughput_parity(model, cache_name: str = "fp16"):
-    """(arena_tps, paged_tps, ratio) on the standard serving workload."""
-    factory = CACHE_FACTORIES[cache_name]
-    a_elapsed, a_stats = run_workload(
-        model, factory, make_requests(model.config.vocab_size), max_batch=BATCH
-    )
-    p_elapsed, p_stats = run_workload(
-        model, factory, make_requests(model.config.vocab_size), max_batch=BATCH,
-        config=paged_config(),
-    )
-    arena_tps = a_stats.tokens_generated / a_elapsed
-    paged_tps = p_stats.tokens_generated / p_elapsed
-    return arena_tps, paged_tps, paged_tps / arena_tps
 
 
 def prefix_reuse(model, cache_name: str = "mant4"):
@@ -118,21 +86,7 @@ def main():
     print("loading unit-test model ...")
     model, _ = get_model("unit-test")
 
-    print(f"\npaged vs arena decode throughput "
-          f"({N_REQUESTS} requests x {MAX_TOKENS} tokens, "
-          f"{PROMPT_LEN}-token prompts, batch {BATCH}, "
-          f"block_tokens={BLOCK_TOKENS})")
-    report: dict[str, dict] = {"throughput": {}, "prefix_reuse": {}}
-    for name in CACHE_FACTORIES:
-        arena_tps, paged_tps, ratio = throughput_parity(model, name)
-        report["throughput"][name] = {
-            "arena_tokens_per_s": round(arena_tps, 1),
-            "paged_tokens_per_s": round(paged_tps, 1),
-            "paged_vs_arena": round(ratio, 3),
-        }
-        print(f"  {name:>6} | arena {arena_tps:8.1f} tok/s | "
-              f"paged {paged_tps:8.1f} tok/s | ratio {ratio:5.2f}x")
-
+    report: dict[str, dict] = {"prefix_reuse": {}}
     print(f"\nshared-prefix prefill-block reuse "
           f"({N_REQUESTS} requests, {PREFIX_LEN}-token shared system prompt "
           f"+ {TAIL_LEN}-token unique tails)")

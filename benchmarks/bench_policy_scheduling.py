@@ -137,7 +137,7 @@ def fork_sampling_workload(model, cache_factory, use_fork: bool):
     rng = np.random.default_rng(2)
     vocab = model.config.vocab_size
     engine = GenerationEngine(model, cache_factory, ServeConfig(
-        max_batch_size=8, paged=True, block_tokens=32,
+        max_batch_size=8, block_tokens=32,
         enable_prefix_cache=False,      # measure compute, not page dedup
     ))
     prompts = [rng.integers(0, vocab, size=FORK_PROMPT)

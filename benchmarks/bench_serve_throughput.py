@@ -57,9 +57,9 @@ def make_requests(vocab_size: int, n_requests: int = N_REQUESTS,
 def run_workload(model, cache_factory, requests, max_batch: int, config=None):
     """Serve ``requests`` at ``max_batch`` lanes; returns (elapsed_s, stats).
 
-    ``config`` overrides the whole :class:`ServeConfig` (the paged
-    benchmark passes one with ``paged=True``); ``max_batch`` is ignored
-    when it is given.
+    ``config`` overrides the whole :class:`ServeConfig` (the chunked,
+    policy and fault benchmarks pass their own); ``max_batch`` is
+    ignored when it is given.
     """
     if config is None:
         config = ServeConfig(max_batch_size=max_batch)

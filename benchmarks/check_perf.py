@@ -58,7 +58,7 @@ from bench_policy_scheduling import (
     high_priority_ttft_gain,
     policy_config,
 )
-from bench_paged_kv import paged_config, prefix_reuse, throughput_parity
+from bench_paged_kv import paged_config, prefix_reuse
 from bench_serve_throughput import CACHE_FACTORIES, make_requests, run_workload
 from legacy_impl import LegacyListKVCache, LegacyMantCodec, LegacyMseSearchSelector
 
@@ -75,10 +75,8 @@ MIN_ENCODE_SPEEDUP = 3.0
 # the same workload (the continuous-batching payoff).
 MIN_SERVE_SPEEDUP = 2.0
 
-# Paged KV cache: decode throughput within 10% of the contiguous arena
-# on the same batch-8 workload, and >= 1.5x prefill-block reuse on the
-# shared-system-prompt workload (prefix cache actually deduplicating).
-MIN_PAGED_VS_ARENA = 0.9
+# Paged KV cache: >= 1.5x prefill-block reuse on the shared-system-prompt
+# workload (prefix cache actually deduplicating).
 MIN_PREFIX_REUSE = 1.5
 
 # Chunked prefill: decode inter-token p95 on the long-prompt-interleave
@@ -271,24 +269,8 @@ def check_speedups() -> list[str]:
                 f"serve fp16 batch-8 speedup {speedup:.2f}x < {MIN_SERVE_SPEEDUP}x"
             )
 
-    # Paged KV cache: no-regression floor vs the contiguous arena (the
-    # page-gather/alloc bookkeeping must not cost real throughput), and
-    # the prefix cache must actually deduplicate shared prompt pages.
-    for name in CACHE_FACTORIES:
-        if name == "fp16":
-            # Gated: best of 3 so the floor reflects algorithmic cost,
-            # not scheduler jitter.  The other types are informational
-            # and get a single run.
-            ratio = max(throughput_parity(model, name)[2] for _ in range(3))
-            print(f"  serve {name} paged vs arena @ batch 8:     {ratio:5.2f}x "
-                  f"(floor {MIN_PAGED_VS_ARENA}x)")
-            if ratio < MIN_PAGED_VS_ARENA:
-                failures.append(
-                    f"paged fp16 throughput {ratio:.2f}x arena < {MIN_PAGED_VS_ARENA}x"
-                )
-        else:
-            ratio = throughput_parity(model, name)[2]
-            print(f"  serve {name} paged vs arena @ batch 8:     {ratio:5.2f}x ")
+    # Paged KV cache: the prefix cache must actually deduplicate shared
+    # prompt pages.
     reuse, detail = prefix_reuse(model)
     print(f"  paged prefill-block reuse (shared prefix): {reuse:5.2f}x "
           f"(floor {MIN_PREFIX_REUSE}x; "
@@ -430,8 +412,8 @@ def quick_smoke() -> int:
     (bit-for-bit trace reproducibility, replay-identical records,
     sound SLO report) and the fleet chaos contract (two replicas,
     seeded replica crash, replay-identical records and fault log, zero
-    lost requests, storage back at baseline) for the arena fp16 engine
-    and the mant4 cache — cheap enough for tier-1-adjacent CI runs.
+    lost requests, storage back at baseline) for the fp16 and mant4
+    caches — cheap enough for tier-1-adjacent CI runs.
     """
     from repro.lint.cli import main as lint_main
 

@@ -67,7 +67,7 @@ class ManualClock:
 
 def make_fleet(fleet_cfg, *, faults=None, clock=None):
     return FleetRouter(
-        model, cache_factory, ServeConfig(max_batch_size=4, paged=True),
+        model, cache_factory, ServeConfig(max_batch_size=4),
         fleet_cfg, clock=clock if clock is not None else ManualClock(),
         faults=faults,
     )

@@ -58,7 +58,7 @@ cache_factory = functools.partial(
     MantKVCache, selector=calibration.kv_selector, group_size=64, window=64
 )
 engine = GenerationEngine(model, cache_factory,
-                          ServeConfig(max_batch_size=MAX_BATCH))
+                          ServeConfig(max_batch_size=MAX_BATCH, block_tokens=64))
 
 requests = [
     GenerationRequest(f"client-{i}", prompt, max_tokens=MAX_TOKENS)
@@ -98,17 +98,17 @@ print(f"\nengine stats: {st.requests_completed}/{st.requests_submitted} requests
       f"{st.tokens_generated} tokens in {st.elapsed_s * 1e3:.0f} ms "
       f"({st.tokens_per_s:.0f} tok/s aggregate)")
 print(f"  decode ticks:    {st.decode_ticks}, "
-      f"mean batch occupancy {st.mean_batch_occupancy:.2f} of {st.cache_slots} "
-      f"lanes (high water {st.cache_slots_high_water})")
+      f"mean batch occupancy {st.mean_batch_occupancy:.2f} of {st.batch_lanes} "
+      f"lanes (pool blocks high water {st.cache_slots_high_water})")
 print(f"  queue latency:   mean {st.mean_queue_latency_s * 1e3:.1f} ms, "
       f"max {st.max_queue_latency_s * 1e3:.1f} ms")
 print(f"\nall outputs identical to single-stream decoding: "
       f"{'yes' if all_match else 'NO'}")
 
 # ----------------------------------------------------------------------
-# Same workload over the paged KV cache: every client shares one system
-# prompt, so the prefix cache deduplicates the leading pages, admission
-# runs on actually-free blocks, and the outputs still match bit for bit.
+# Same clients behind one shared system prompt: the prefix cache
+# deduplicates the leading KV pages, admission runs on actually-free
+# blocks, and the outputs still match bit for bit.
 # ----------------------------------------------------------------------
 SYSTEM_LEN = 64
 system = np.random.default_rng(7).integers(0, model.config.vocab_size,
@@ -116,7 +116,7 @@ system = np.random.default_rng(7).integers(0, model.config.vocab_size,
 shared_prompts = [np.concatenate([system, p]) for p in prompts]
 paged = GenerationEngine(
     model, cache_factory,
-    ServeConfig.paged(max_batch_size=MAX_BATCH, block_tokens=64),
+    ServeConfig(max_batch_size=MAX_BATCH, block_tokens=64),
     detokenize=lambda toks: " ".join(str(t) for t in toks),
 )
 paged_results = paged.generate(
@@ -177,7 +177,7 @@ print("\n--- serving API v2: policies, lifecycle, parallel sampling ---")
 
 prio = GenerationEngine(
     model, cache_factory,
-    ServeConfig.paged(max_batch_size=2, block_tokens=64,
+    ServeConfig(max_batch_size=2, block_tokens=64,
                       scheduler_policy="priority"),
 )
 first_token_at: dict[str, int] = {}
@@ -209,7 +209,7 @@ print(f"  urgent output still exact: "
 
 edf = GenerationEngine(
     model, cache_factory,
-    ServeConfig.paged(max_batch_size=2, block_tokens=64,
+    ServeConfig(max_batch_size=2, block_tokens=64,
                       scheduler_policy="deadline"),
 )
 for i, p in enumerate(shared_prompts[:4]):
@@ -229,7 +229,7 @@ print(f"deadline engine (EDF): service order "
 
 fork = GenerationEngine(
     model, cache_factory,
-    ServeConfig.paged(max_batch_size=4, block_tokens=64),
+    ServeConfig(max_batch_size=4, block_tokens=64),
 )
 nres = fork.generate([GenerationRequest(
     "creative", shared_prompts[7], max_tokens=MAX_TOKENS,
@@ -261,7 +261,7 @@ injector = FaultInjector(seed=0).arm(FORWARD, "victim", after=4,
                                      transient=False)
 chaos = GenerationEngine(
     model, cache_factory,
-    ServeConfig.paged(max_batch_size=4, block_tokens=64),
+    ServeConfig(max_batch_size=4, block_tokens=64),
     faults=injector,
 )
 chaos.submit(GenerationRequest("victim", shared_prompts[0],
@@ -294,7 +294,7 @@ class _ManualClock:
 clk = _ManualClock()
 slow = GenerationEngine(
     model, cache_factory,
-    ServeConfig.paged(max_batch_size=2, block_tokens=64,
+    ServeConfig(max_batch_size=2, block_tokens=64,
                       request_timeout_s=10.0),
     clock=clk,
 )
@@ -313,7 +313,7 @@ print(f"  patient: {slow.result('patient').finish_reason!r}   "
       f"({slow.stats().requests_timed_out} timed out, storage released)")
 
 live = GenerationEngine(model, cache_factory,
-                        ServeConfig.paged(max_batch_size=2, block_tokens=64))
+                        ServeConfig(max_batch_size=2, block_tokens=64))
 for i in range(4):          # 2 lanes -> 2 decode mid-flight, 2 queued
     live.submit(GenerationRequest(f"job-{i}", shared_prompts[i],
                                   max_tokens=MAX_TOKENS))

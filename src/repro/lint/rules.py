@@ -246,7 +246,7 @@ class FinishReleasePairing(Rule):
     invariant = ("in engine.py/fleet.py, a function that emits a FINISH_* "
                  "reason (finish_reason assignment or finish TokenEvent) "
                  "must also call _release_storage()/_retire(): every finish "
-                 "path returns pool/arena storage to baseline (resource-"
+                 "path returns pool storage to baseline (resource-"
                  "hygiene invariant); deferred-release paths carry an "
                  "explicit allow annotation naming who releases instead")
 
@@ -296,7 +296,8 @@ class WindowAlignment(Rule):
     id = "window-alignment"
     severity = WARN
     invariant = ("block_tokens / prefill_chunk_tokens must be multiples of "
-                 "the MANT V window (validate_chunk_compat); literal values "
+                 "the MANT V window (validate_block_compat, with chunks "
+                 "whole pages by ServeConfig); literal values "
                  "outside the validated ServeConfig path dodge the "
                  "cross-field alignment checks")
 
@@ -317,7 +318,7 @@ class WindowAlignment(Rule):
                         ctx, kw.value,
                         f"literal {kw.arg}={kw.value.value} outside the "
                         "validated config path — thread the value through "
-                        "ServeConfig so validate_chunk_compat can check "
+                        "ServeConfig so validate_block_compat can check "
                         "MANT V-window / page alignment")
 
 

@@ -27,21 +27,12 @@ alias the cache's storage and are only valid until the next ``append``
 — consume them (or copy) before mutating the cache, which is exactly
 how the attention loop uses them.
 
-For multi-tenant serving, :class:`KVCacheArena` pools that storage:
-per-sequence, per-layer caches are carved out of shared
-``(slots, heads, capacity, d_head)`` slabs (one K and one V slab per
-layer), and a sequence's slot is recycled into the free list when its
-request completes — so ``S`` concurrent sequences share ``2 ×
-n_layers`` allocations, and a recycled slot inherits the capacity its
-predecessors already grew.  Arena-backed caches behave identically to
-standalone ones; views are valid until the next append on *any* slot
-of the same arena (a growth reallocates the shared slab).
-
-The same ``bind_buffer_factory`` seam carries the *paged* backend
-(:mod:`repro.serve.paging`): a :class:`TokenBuffer`-compatible facade
-over fixed-size ref-counted pages of a block pool, with hash-based
-prompt-prefix sharing and copy-on-write.  Every cache class here runs
-unchanged over either storage — the quantization math never sees the
+For multi-tenant serving, the ``bind_buffer_factory`` seam routes that
+storage through the paged block pool (:mod:`repro.serve.paging`): a
+:class:`TokenBuffer`-compatible facade over fixed-size ref-counted
+pages, with hash-based prompt-prefix sharing and copy-on-write.  Every
+cache class here runs unchanged over either a private
+:class:`TokenBuffer` or pages — the quantization math never sees the
 layout, which is what makes paged caches bit-identical to flat ones.
 """
 
@@ -58,14 +49,10 @@ from repro.quant.config import KVCacheConfig, QuantConfig
 __all__ = [
     "KVCache",
     "TokenBuffer",
-    "SlabTokenBuffer",
     "FP16KVCache",
     "IntKVCache",
     "MantKVCache",
     "make_kv_cache",
-    "validate_chunk_compat",
-    "KVCacheArena",
-    "CacheLease",
 ]
 
 _EMPTY = np.empty((0, 0, 0))
@@ -75,8 +62,8 @@ def _promote_token_block(block: np.ndarray, heads: int, d_head: int) -> np.ndarr
     """Normalize an append block to ``(heads, t, d_head)``, validating shape.
 
     The single place the token-storage geometry contract lives, shared
-    by :class:`TokenBuffer` and the arena slabs so the standalone and
-    pooled paths cannot drift apart.
+    by :class:`TokenBuffer` and the paged token buffers so the
+    standalone and pooled paths cannot drift apart.
     """
     if block.ndim == 2:
         block = block[:, None, :]
@@ -171,9 +158,10 @@ class KVCache:
         chunked-prefill serving pipeline rests on.  Non-final chunks of
         caches with temporal quantization state (the MANT V window) must
         be a multiple of that window so no group straddles a chunk
-        boundary (:func:`validate_chunk_compat`); the final chunk may be
-        ragged, its remainder entering staging exactly as in
-        :meth:`prefill`.
+        boundary (serving gets this from chunks that fill whole pages,
+        see :func:`repro.serve.paging.validate_block_compat`); the final
+        chunk may be ragged, its remainder entering staging exactly as
+        in :meth:`prefill`.
         """
         raise NotImplementedError
 
@@ -214,7 +202,8 @@ class _BufferedKVCache(KVCache):
         self._buffer_factory = None
 
     def bind_buffer_factory(self, factory) -> None:
-        """Route buffer allocation through a pool (see :class:`KVCacheArena`).
+        """Route buffer allocation through a pool (see
+        :class:`repro.serve.paging.BlockPool`).
 
         ``factory(role, heads, d_head, capacity)`` must return a
         :class:`TokenBuffer`-compatible object for ``role`` in
@@ -674,242 +663,3 @@ def make_kv_cache(config: KVCacheConfig, selector: VarianceSelector | None = Non
     if config.key.method == "int":
         return IntKVCache(bits=config.key.bits, group_size=config.key.group_size)
     raise ValueError(f"no KV cache implementation for method {config.key.method!r}")
-
-
-def validate_chunk_compat(cache: KVCache, chunk_tokens: int) -> None:
-    """Reject prefill chunk sizes that would split a temporal group.
-
-    The chunked-prefill counterpart of
-    :func:`repro.serve.paging.validate_block_compat`: K caches quantize
-    per token and tolerate any chunking, but the MANT V cache quantizes
-    ``window`` consecutive tokens together, so every non-final chunk
-    must hold a whole number of windows for chunked prefill to stay
-    bit-identical to the one-shot :meth:`KVCache.prefill`.
-    """
-    if isinstance(cache, MantKVCache) and chunk_tokens % cache.window:
-        raise ValueError(
-            f"prefill_chunk_tokens={chunk_tokens} must be a multiple of "
-            f"the MANT V-cache window ({cache.window}) so temporal "
-            "quantization groups never straddle a chunk boundary"
-        )
-
-
-# ======================================================================
-# Pooled cache arena for multi-tenant serving
-# ======================================================================
-class _ArenaSlab:
-    """Shared ``(slots, heads, capacity, d_head)`` storage for one
-    (layer, K/V-role) across every sequence slot of an arena.
-
-    A single amortized-doubling allocation backs all slots: growing for
-    any sequence grows the capacity axis once for everyone, and a
-    recycled slot reuses the capacity its predecessors paid for.
-    """
-
-    __slots__ = ("_buf", "_lens")
-
-    def __init__(self, slots: int, heads: int, d_head: int, capacity: int = 16):
-        self._buf = np.empty((slots, heads, max(1, capacity), d_head))
-        self._lens = np.zeros(slots, dtype=np.int64)
-
-    @property
-    def heads(self) -> int:
-        return self._buf.shape[1]
-
-    @property
-    def d_head(self) -> int:
-        return self._buf.shape[3]
-
-    @property
-    def capacity(self) -> int:
-        return self._buf.shape[2]
-
-    def ensure_capacity(self, capacity: int) -> None:
-        cap = self._buf.shape[2]
-        if capacity <= cap:
-            return
-        slots, heads, _, d_head = self._buf.shape
-        grown = np.empty((slots, heads, max(capacity, 2 * cap), d_head))
-        live = int(self._lens.max())
-        grown[:, :, :live] = self._buf[:, :, :live]
-        self._buf = grown
-
-    def reset(self, slot: int) -> None:
-        self._lens[slot] = 0
-
-    def length(self, slot: int) -> int:
-        return int(self._lens[slot])
-
-    def append(self, slot: int, block: np.ndarray) -> None:
-        block = _promote_token_block(block, self.heads, self.d_head)
-        n = int(self._lens[slot])
-        t = block.shape[1]
-        self.ensure_capacity(n + t)
-        self._buf[slot, :, n : n + t] = block
-        self._lens[slot] = n + t
-
-    def view(self, slot: int) -> np.ndarray:
-        v = self._buf[slot, :, : int(self._lens[slot])]
-        v.flags.writeable = False
-        return v
-
-    def tail(self, slot: int, n: int) -> np.ndarray:
-        length = int(self._lens[slot])
-        if n > length:
-            raise ValueError(f"tail({n}) exceeds slot length {length}")
-        return self._buf[slot, :, length - n : length]
-
-
-class SlabTokenBuffer:
-    """:class:`TokenBuffer`-compatible facade over one arena slab slot.
-
-    Construction resets the slot (a fresh buffer is empty by
-    definition); all storage and growth live in the shared slab.
-    """
-
-    __slots__ = ("_slab", "_slot")
-
-    def __init__(self, slab: _ArenaSlab, slot: int):
-        self._slab = slab
-        self._slot = slot
-        slab.reset(slot)
-
-    def __len__(self) -> int:
-        return self._slab.length(self._slot)
-
-    @property
-    def heads(self) -> int:
-        return self._slab.heads
-
-    @property
-    def d_head(self) -> int:
-        return self._slab.d_head
-
-    def append(self, block: np.ndarray) -> None:
-        self._slab.append(self._slot, block)
-
-    def view(self) -> np.ndarray:
-        return self._slab.view(self._slot)
-
-    def tail(self, n: int) -> np.ndarray:
-        return self._slab.tail(self._slot, n)
-
-
-class CacheLease:
-    """One sequence's tenancy in a :class:`KVCacheArena`.
-
-    ``caches`` holds one arena-backed :class:`KVCache` per model layer;
-    ``slot`` is the slab row they share.  Return it with
-    :meth:`KVCacheArena.release` when the request finishes.
-    """
-
-    __slots__ = ("slot", "caches", "active")
-
-    def __init__(self, slot: int, caches: list):
-        self.slot = slot
-        self.caches = caches
-        self.active = True
-
-
-class KVCacheArena:
-    """Pooled per-layer KV caches carved out of shared slab buffers.
-
-    ``acquire()`` hands out a :class:`CacheLease` whose per-layer caches
-    (built by ``cache_factory`` — any :class:`KVCache` subclass using
-    the buffered storage, i.e. FP16/INT/MANT) write into per-slot
-    regions of ``2 × n_layers`` shared slabs instead of private
-    allocations.  ``release()`` recycles the slot for the next
-    sequence.  Invariants:
-
-    * at most ``slots`` leases are live at a time (``acquire`` raises
-      once exhausted — the serving scheduler's admission policy is what
-      keeps this from triggering);
-    * a released slot's storage is reused as-is (no zeroing; a fresh
-      lease's caches start at length 0 and overwrite);
-    * zero-copy cache views are valid until the next append through
-      *any* lease of the arena, since growth reallocates shared slabs.
-    """
-
-    def __init__(
-        self,
-        n_layers: int,
-        cache_factory,
-        slots: int = 8,
-        initial_capacity: int = 64,
-    ):
-        if slots < 1:
-            raise ValueError("arena needs at least one slot")
-        self.n_layers = n_layers
-        self._cache_factory = cache_factory
-        self._n_slots = slots
-        self._initial_capacity = initial_capacity
-        self._free = list(reversed(range(slots)))
-        self._slabs: dict[tuple[int, str], _ArenaSlab] = {}
-        self.high_water = 0
-        self.total_leases = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def slots_total(self) -> int:
-        return self._n_slots
-
-    @property
-    def slots_free(self) -> int:
-        return len(self._free)
-
-    @property
-    def slots_in_use(self) -> int:
-        return self._n_slots - len(self._free)
-
-    # ------------------------------------------------------------------
-    def _get_slab(self, layer: int, role: str, heads: int, d_head: int) -> _ArenaSlab:
-        key = (layer, role)
-        slab = self._slabs.get(key)
-        if slab is None:
-            slab = _ArenaSlab(self._n_slots, heads, d_head, self._initial_capacity)
-            self._slabs[key] = slab
-        elif (slab.heads, slab.d_head) != (heads, d_head):
-            raise ValueError(
-                f"layer {layer} {role}-cache geometry ({heads}, {d_head}) does "
-                f"not match the arena's ({slab.heads}, {slab.d_head})"
-            )
-        return slab
-
-    def _buffer_factory(self, slot: int, layer: int):
-        def make(role: str, heads: int, d_head: int, capacity: int) -> SlabTokenBuffer:
-            slab = self._get_slab(layer, role, heads, d_head)
-            slab.ensure_capacity(capacity)
-            return SlabTokenBuffer(slab, slot)
-
-        return make
-
-    # ------------------------------------------------------------------
-    def acquire(self) -> CacheLease:
-        """Lease one slot: a fresh set of per-layer arena-backed caches."""
-        if not self._free:
-            raise RuntimeError(
-                f"KVCacheArena exhausted: all {self._n_slots} slots leased"
-            )
-        slot = self._free.pop()
-        caches = []
-        for layer in range(self.n_layers):
-            cache = self._cache_factory()
-            if not isinstance(cache, _BufferedKVCache):
-                raise TypeError(
-                    f"cache_factory produced {type(cache).__name__}, which does "
-                    "not use the pooled buffer storage"
-                )
-            cache.bind_buffer_factory(self._buffer_factory(slot, layer))
-            caches.append(cache)
-        self.total_leases += 1
-        self.high_water = max(self.high_water, self.slots_in_use)
-        return CacheLease(slot, caches)
-
-    def release(self, lease: CacheLease) -> None:
-        """Recycle a lease's slot; its caches must not be used afterwards."""
-        if not lease.active:
-            raise RuntimeError("lease already released")
-        lease.active = False
-        for slab in self._slabs.values():
-            slab.reset(lease.slot)
-        self._free.append(lease.slot)

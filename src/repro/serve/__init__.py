@@ -3,16 +3,16 @@
 The serving layer on top of the MANT quantization stack — an engine
 that schedules many concurrent generation requests into one fused
 decode batch, with per-request streaming (token ids plus optional
-incremental detokenized text), pooled per-layer KV caches (FP16/INT/
+incremental detokenized text), paged per-layer KV caches (FP16/INT/
 MANT) recycled across requests, and aggregate throughput / occupancy /
 latency statistics.
 
 The v2 API is layered:
 
 * **Configuration** — :class:`~repro.serve.config.ServeConfig`, one
-  validated frozen dataclass with named presets
-  (``ServeConfig.arena()`` / ``.paged()`` / ``.chunked()``) selecting
-  the storage backend and prefill pipeline.
+  validated frozen dataclass; ``ServeConfig()`` prefills whole prompts
+  at admission and the ``ServeConfig.chunked()`` preset selects the
+  chunked mixed-tick prefill pipeline.
 * **Policy** — every ordering decision (admission order, chunk
   recipients, preemption victim) goes through a pluggable
   :class:`~repro.serve.policy.SchedulerPolicy`:
@@ -27,13 +27,11 @@ The v2 API is layered:
   equal to the request id) with ``.stream()`` / ``.result()`` /
   ``.cancel()``; :meth:`~repro.serve.engine.GenerationEngine.cancel`
   works in every state — queued, mid-chunked-prefill, decoding —
-  releasing blocks/arena slots and finishing with
-  ``FINISH_CANCELLED``.
+  releasing pool blocks and finishing with ``FINISH_CANCELLED``.
 * **Parallel sampling** — ``GenerationRequest(n=...)`` prefills the
   prompt once and forks the paged lease copy-on-write per extra
-  sample (:meth:`~repro.serve.paging.PagedLease.fork`; arena engines
-  replay the prefill into a fresh slot), each sample drawing from an
-  RNG stream derived from ``(seed, sample_index)``;
+  sample (:meth:`~repro.serve.paging.PagedLease.fork`), each sample
+  drawing from an RNG stream derived from ``(seed, sample_index)``;
   :class:`~repro.serve.request.GenerationResult.samples` carries one
   :class:`~repro.serve.request.SampleOutput` per sample and the
   classic single-sample fields alias ``samples[0]``.
@@ -82,11 +80,9 @@ The v2 API is layered:
   registries) and binary-searches the saturation knee
   (:func:`~repro.serve.slo.find_knee`).
 
-Two storage backends: the contiguous
-:class:`~repro.quant.kvcache.KVCacheArena` (one slab slot per batch
-lane) and the paged :class:`~repro.serve.paging.BlockPool` (fixed-size
-ref-counted pages with hash-based prompt-prefix sharing, copy-on-write
-and prefix-aware block admission — ``ServeConfig(paged=True)``).  With
+One storage backend: the paged :class:`~repro.serve.paging.BlockPool`
+(fixed-size ref-counted pages with hash-based prompt-prefix sharing,
+copy-on-write and prefix-aware block admission).  With
 ``ServeConfig(prefill_chunk_tokens=...)`` prompts prefill in
 window-aligned chunks through mixed prefill+decode ticks under a
 Sarathi-style ``max_tokens_per_tick`` budget, keeping decode

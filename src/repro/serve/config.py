@@ -1,26 +1,20 @@
 """Serving configuration: one validated, frozen knob surface.
 
 :class:`ServeConfig` is the single source of truth for every engine and
-scheduler knob — storage backend (arena vs paged), admission budgets,
-chunked-prefill shape, and (new in the v2 API) the pluggable
-``scheduler_policy``.  All cross-field validation lives here, in
-``__post_init__``, so an invalid configuration fails at construction
-instead of mid-tick; the only checks left elsewhere are the ones that
-need a live cache instance (chunk/window and block/window alignment,
-performed by the engine via :func:`~repro.quant.kvcache.
-validate_chunk_compat` / :func:`~repro.serve.paging.validate_block_compat`).
+scheduler knob — paged KV storage shape, admission budgets,
+chunked-prefill shape, and the pluggable ``scheduler_policy``.  All
+cross-field validation lives here, in ``__post_init__``, so an invalid
+configuration fails at construction instead of mid-tick; the only check
+left elsewhere is the one that needs a live cache instance (page/window
+alignment, performed by the engine via
+:func:`~repro.serve.paging.validate_block_compat`).  Chunks are a
+multiple of ``block_tokens`` (checked here) and pages of the MANT V
+window (checked there), so chunks are window-aligned transitively.
 
-Named presets cover the three standard shapes::
-
-    ServeConfig.arena()      # contiguous per-slot slabs (the default)
-    ServeConfig.paged()      # vLLM-style block pool + prefix sharing
-    ServeConfig.chunked()    # paged + Sarathi-style mixed-tick prefill
-
-each accepting any field as a keyword override, e.g.
+``ServeConfig()`` is the whole-prompt-prefill engine; the
+:meth:`ServeConfig.chunked` preset is the Sarathi-style mixed-tick
+shape, accepting any field as a keyword override, e.g.
 ``ServeConfig.chunked(max_batch_size=16, scheduler_policy="priority")``.
-
-``repro.serve.scheduler.ServeConfig`` remains importable as a
-deprecated alias of this class.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ class ServeConfig:
     (EDF over ``GenerationRequest.deadline_s`` with starvation-free
     aging).
 
-    Paging (``paged=True`` — see :mod:`repro.serve.paging`):
+    Paged KV storage (see :mod:`repro.serve.paging`):
 
     ``block_tokens``
         Page size in tokens.  Must be a multiple of the cache's
@@ -69,11 +63,11 @@ class ServeConfig:
         Split each admitted prompt into chunks of this many tokens and
         run them through the batched mixed tick alongside the decode
         rows, instead of prefilling each prompt whole and alone at
-        admission.  Must be a multiple of the cache's temporal
-        quantization window (the MANT V window; checked at engine
-        construction) — and of ``block_tokens`` when paged — so chunk
-        boundaries always land on quantization-group boundaries and
-        chunked output stays token-identical to unchunked.  ``None``
+        admission.  Must be a multiple of ``block_tokens`` — and so,
+        transitively, of the cache's temporal quantization window (the
+        MANT V window) — so chunk boundaries always land on page and
+        quantization-group boundaries and chunked output stays
+        token-identical to unchunked.  ``None``
         (default) keeps the whole-prompt prefill path.
     ``max_tokens_per_tick``
         Sarathi-style per-tick token budget for the mixed tick: the
@@ -101,11 +95,10 @@ class ServeConfig:
         ``FINISH_ERROR``.
     ``check_invariants``
         Run :meth:`~repro.serve.engine.GenerationEngine.
-        check_invariants` (pool refcounts, arena slot accounting, lane
-        bookkeeping) at the end of every tick.  The test suite forces
-        this on via the ``REPRO_SERVE_STRICT`` environment variable;
-        production engines leave it off (the check is O(blocks) per
-        tick).
+        check_invariants` (pool refcounts, lane bookkeeping) at the end
+        of every tick.  The test suite forces this on via the
+        ``REPRO_SERVE_STRICT`` environment variable; production engines
+        leave it off (the check is O(blocks) per tick).
 
     Observability (see :mod:`repro.serve.observe`):
 
@@ -123,9 +116,7 @@ class ServeConfig:
 
     max_batch_size: int = 8
     max_tokens_in_flight: int | None = None
-    initial_cache_capacity: int = 64
     max_queue_len: int | None = None
-    paged: bool = False
     block_tokens: int = 32
     num_blocks: int | None = None
     enable_prefix_cache: bool = True
@@ -142,8 +133,6 @@ class ServeConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_tokens_in_flight is not None and self.max_tokens_in_flight < 1:
             raise ValueError("max_tokens_in_flight must be >= 1 (or None)")
-        if self.initial_cache_capacity < 1:
-            raise ValueError("initial_cache_capacity must be >= 1")
         if self.max_queue_len is not None and self.max_queue_len < 1:
             raise ValueError("max_queue_len must be >= 1 (or None)")
         if self.block_tokens < 1:
@@ -153,7 +142,7 @@ class ServeConfig:
         if self.prefill_chunk_tokens is not None:
             if self.prefill_chunk_tokens < 1:
                 raise ValueError("prefill_chunk_tokens must be >= 1 (or None)")
-            if self.paged and self.prefill_chunk_tokens % self.block_tokens:
+            if self.prefill_chunk_tokens % self.block_tokens:
                 raise ValueError(
                     f"prefill_chunk_tokens={self.prefill_chunk_tokens} must be "
                     f"a multiple of block_tokens ({self.block_tokens}) so every "
@@ -185,26 +174,14 @@ class ServeConfig:
                 f"available: {sorted(POLICIES)}"
             )
 
-    # ------------------------------------------------------------------
-    # Presets.  ``paged`` the classmethod is attached after the class
-    # body (below) because the field of the same name would otherwise
-    # shadow it during dataclass processing.
-    # ------------------------------------------------------------------
-    @classmethod
-    def arena(cls, **overrides) -> "ServeConfig":
-        """Contiguous arena backend (the default engine shape)."""
-        overrides.setdefault("paged", False)
-        return cls(**overrides)
-
     @classmethod
     def chunked(cls, **overrides) -> "ServeConfig":
-        """Paged storage + chunked mixed-tick prefill.
+        """Chunked mixed-tick prefill.
 
         Defaults ``block_tokens=32``, ``prefill_chunk_tokens=32`` and
         ``max_tokens_per_tick=64`` — the shapes the chunked benchmarks
         gate — all overridable.
         """
-        overrides.setdefault("paged", True)
         overrides.setdefault("block_tokens", 32)
         overrides.setdefault("prefill_chunk_tokens", overrides["block_tokens"])
         overrides.setdefault(
@@ -332,16 +309,3 @@ class FleetConfig:
         if self.snapshot_keep < 1:
             raise ValueError(f"snapshot_keep must be >= 1, got {self.snapshot_keep}")
 
-
-def _paged_preset(cls, **overrides) -> ServeConfig:
-    """vLLM-style paged backend (block pool + prefix sharing)."""
-    overrides.setdefault("paged", True)
-    return cls(**overrides)
-
-
-# The dataclass field ``paged`` claims the name inside the class body,
-# so the preset is attached afterwards; instances still read the field
-# (instance attribute) while ``ServeConfig.paged(...)`` resolves to the
-# classmethod.
-_paged_preset.__name__ = "paged"
-ServeConfig.paged = classmethod(_paged_preset)

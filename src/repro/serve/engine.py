@@ -9,10 +9,10 @@ generation into multi-tenant serving:
   request id, with ``.stream()``/``.result()``/``.cancel()`` attached);
 * a :class:`~repro.serve.scheduler.Scheduler` admits them into a
   dynamic decode batch (new requests join as others finish) under a
-  batch-size cap and either a KV token budget (arena mode) or actual
-  free pages (paged mode, prefix-aware: pages a prefix-cache match
-  covers are not charged).  Every *ordering* decision — who admits
-  first, who receives prefill chunks, who gets preempted — is
+  batch-size cap, an optional KV token budget and the pool's actually
+  free pages (prefix-aware: pages a prefix-cache match covers are not
+  charged).  Every *ordering* decision — who admits first, who
+  receives prefill chunks, who gets preempted — is
   delegated to the config's :class:`~repro.serve.policy.
   SchedulerPolicy` (FCFS by default, bit-for-bit the pre-policy
   engine; strict-priority and EDF-deadline policies ship alongside);
@@ -26,13 +26,12 @@ generation into multi-tenant serving:
   :meth:`~repro.model.transformer.TransformerLM.forward_mixed` call;
 * a request with ``n > 1`` prefills its prompt **once**; when the
   prefill completes, the engine forks the paged lease copy-on-write
-  per extra sample (:meth:`~repro.serve.paging.PagedLease.fork`; the
-  arena backend replays the prefill into a fresh slot instead), and
+  per extra sample (:meth:`~repro.serve.paging.PagedLease.fork`), and
   every sample decodes as its own batch lane with an RNG stream
   derived from ``(seed, sample_index)``;
 * requests can be :meth:`cancelled <GenerationEngine.cancel>` in any
   state — queued, mid-chunked-prefill, or decoding — releasing their
-  blocks/arena slots and finishing with ``FINISH_CANCELLED``;
+  pool blocks and finishing with ``FINISH_CANCELLED``;
 * tokens stream out per request through :class:`TokenEvent`s (iterator
   via :meth:`run`, a per-request ``on_token`` callback, or
   ``handle.stream()``), optionally carrying incremental text from a
@@ -49,16 +48,13 @@ generation into multi-tenant serving:
   retrievable via ``handle.trace()`` and serialized into
   :attr:`~repro.serve.request.GenerationResult.trace`.
 
-Two storage backends share this loop:
-
-* **Arena** (default): contiguous per-slot slabs
-  (:class:`~repro.quant.kvcache.KVCacheArena`), one slot per batch lane.
-* **Paged** (``ServeConfig(paged=True)``): fixed-size pages from a
-  :class:`~repro.serve.paging.BlockPool` — admission on actually-free
-  blocks instead of worst-case token budgets, on-demand page allocation
-  each tick, hash-based prefix sharing of identical full prompt pages,
-  and preemption-by-recompute (policy-chosen victim, back to the queue)
-  when the pool runs dry mid-decode.
+KV storage is fixed-size pages from one
+:class:`~repro.serve.paging.BlockPool`: admission on actually-free
+blocks instead of worst-case token budgets, on-demand page allocation
+each tick, hash-based prefix sharing of identical full prompt pages,
+copy-on-write forks for ``n > 1``, and preemption-by-recompute
+(policy-chosen victim, back to the queue) when the pool runs dry
+mid-decode.
 
 Determinism guarantee: every tick is one
 :meth:`~repro.model.transformer.TransformerLM.forward_mixed` call
@@ -66,8 +62,8 @@ Determinism guarantee: every tick is one
 from its own seeded RNG, so a request's output never depends on which
 other requests shared its batch — under the default FCFS policy, greedy
 engine output == the plain ``prefill`` + ``decode_step`` loop, token
-for token, for every cache type, both storage backends and both
-prefill modes.  The guarantee is token-level, not bitwise: cache
+for token, for every cache type, with and without prefix sharing and
+in both prefill modes.  The guarantee is token-level, not bitwise: cache
 quantization is per token (and chunk boundaries land on
 quantization-window boundaries by construction), so the one thing
 separating a tick from the single-stream loop is that the packed
@@ -94,7 +90,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.model.transformer import MixedSegment
-from repro.quant.kvcache import KVCacheArena, validate_chunk_compat
 from repro.serve.config import ServeConfig
 from repro.serve.faults import ALLOC, CALLBACK, FORWARD, InjectedFault
 from repro.serve.observe import MetricsRegistry, RequestTrace, TickTracer
@@ -126,6 +121,12 @@ _ABNORMAL_FINISH = (FINISH_CANCELLED, FINISH_TIMEOUT, FINISH_ERROR)
 # (Also the Histogram reservoir size, so registry-backed percentiles
 # are computed over exactly the same window as before the registry.)
 LATENCY_WINDOW = 4096
+
+# ServeConfig fields that version-1 snapshots written by older engines
+# carry but the config no longer has (the retired contiguous-storage
+# switch and its initial capacity).  restore() drops them, so such a
+# snapshot resumes on pages — token-identical for fp16/int4.
+_RETIRED_CONFIG_KEYS = frozenset({"paged", "initial_cache_capacity"})
 
 
 class _Sequence:
@@ -257,10 +258,10 @@ class EngineStats:
     tokens_per_s: float           # aggregate serving throughput over elapsed_s
     mean_queue_latency_s: float
     max_queue_latency_s: float
-    cache_slots: int              # arena slots, or pool blocks when paged
+    cache_slots: int              # pool blocks total
     cache_slots_high_water: int
-    preemptions: int              # paged: sequences bumped back to the queue
-    prefix_hit_tokens: int        # paged: prompt tokens served from shared pages
+    preemptions: int              # sequences bumped back to the queue
+    prefix_hit_tokens: int        # prompt tokens served from shared pages
     prefill_chunks: int           # chunked mode: prompt chunks run in mixed ticks
     prefill_tokens: int           # prompt tokens actually run through the model
     ttft_p50_s: float             # submit -> first token percentiles (NaN if none)
@@ -341,9 +342,7 @@ class GenerationEngine:
     """Schedule many :class:`GenerationRequest`s through one model.
 
     ``cache_factory`` builds one buffered KV cache (FP16/INT/MANT —
-    anything the pooled storage backends can carve); the engine owns
-    either a :class:`~repro.quant.kvcache.KVCacheArena` (one slot per
-    batch lane) or, with ``config.paged``, a
+    anything the paged storage can carve); the engine owns a
     :class:`~repro.serve.paging.BlockPool` of fixed-size pages shared
     by all lanes.  ``weights``/``act_quant`` are the usual quantization
     hooks, applied identically to every request.  ``detokenize`` is an
@@ -404,43 +403,30 @@ class GenerationEngine:
             # Join fired faults into the victim's timeline + tick trace.
             faults.on_fire(self._fault_fired)
         self.scheduler = Scheduler(config, policy=policy)
-        if config.prefill_chunk_tokens is not None:
-            # Paged mode implies window alignment transitively (chunk is
-            # a multiple of block_tokens, block_tokens of the window),
-            # but the explicit check gives arena engines the same error.
-            validate_chunk_compat(cache_factory(), config.prefill_chunk_tokens)
-        if config.paged:
-            validate_block_compat(cache_factory(), config.block_tokens)
-            num_blocks = config.num_blocks
-            if num_blocks is None:
-                # Worst case (arena-equivalent capacity); smaller pools
-                # turn on real admission control and preemption.
-                num_blocks = (
-                    math.ceil(model.config.max_seq / config.block_tokens)
-                    * config.max_batch_size
-                )
-            self.pool = BlockPool(
-                n_layers=model.config.n_layers,
-                block_tokens=config.block_tokens,
-                num_blocks=num_blocks,
-                enable_prefix_cache=config.enable_prefix_cache,
-                faults=faults,
+        # Chunks are whole pages (ServeConfig) and pages whole V windows
+        # (here), so no temporal quantization group straddles either.
+        validate_block_compat(cache_factory(), config.block_tokens)
+        num_blocks = config.num_blocks
+        if num_blocks is None:
+            # Worst case (every lane at max_seq); smaller pools turn on
+            # real admission control and preemption.
+            num_blocks = (
+                math.ceil(model.config.max_seq / config.block_tokens)
+                * config.max_batch_size
             )
-            self.arena = None
-            self.scheduler.bind_block_gauge(
-                lambda: self.pool.blocks_available, config.block_tokens,
-                prefix_probe=(
-                    self.pool.probe_prefix if config.enable_prefix_cache else None
-                ),
-            )
-        else:
-            self.pool = None
-            self.arena = KVCacheArena(
-                n_layers=model.config.n_layers,
-                cache_factory=cache_factory,
-                slots=config.max_batch_size,
-                initial_capacity=config.initial_cache_capacity,
-            )
+        self.pool = BlockPool(
+            n_layers=model.config.n_layers,
+            block_tokens=config.block_tokens,
+            num_blocks=num_blocks,
+            enable_prefix_cache=config.enable_prefix_cache,
+            faults=faults,
+        )
+        self.scheduler.bind_block_gauge(
+            lambda: self.pool.blocks_available, config.block_tokens,
+            prefix_probe=(
+                self.pool.probe_prefix if config.enable_prefix_cache else None
+            ),
+        )
         self._results: dict[str, GenerationResult] = {}
         self._active_ids: set[str] = set()
         self._arrivals = 0           # submission-order stamp, not a metric
@@ -497,26 +483,15 @@ class GenerationEngine:
         # Live gauges over the scheduler, the storage backend and the
         # engine itself — sampled at read time, zero steady-state cost.
         self.scheduler.bind_metrics(m)
-        if self.pool is not None:
-            self.pool.bind_metrics(m)
-            self._g_cache_slots = m.gauge(
-                "cache_slots", "Pool blocks total", fn=lambda: self.pool.num_blocks)
-            self._g_cache_high = m.gauge(
-                "cache_slots_high_water", "Peak pool blocks in use",
-                fn=lambda: self.pool.high_water)
-            self._g_prefix_hits = m.gauge(
-                "prefix_hit_tokens", "Prompt tokens served from shared pages",
-                fn=lambda: self.pool.prefix_hit_tokens)
-        else:
-            self._g_cache_slots = m.gauge(
-                "cache_slots", "Arena slots total",
-                fn=lambda: self.arena.slots_total)
-            self._g_cache_high = m.gauge(
-                "cache_slots_high_water", "Peak arena slots in use",
-                fn=lambda: self.arena.high_water)
-            self._g_prefix_hits = m.gauge(
-                "prefix_hit_tokens", "Prompt tokens served from shared pages "
-                "(always 0: arena slots cannot alias)", fn=lambda: 0)
+        self.pool.bind_metrics(m)
+        self._g_cache_slots = m.gauge(
+            "cache_slots", "Pool blocks total", fn=lambda: self.pool.num_blocks)
+        self._g_cache_high = m.gauge(
+            "cache_slots_high_water", "Peak pool blocks in use",
+            fn=lambda: self.pool.high_water)
+        self._g_prefix_hits = m.gauge(
+            "prefix_hit_tokens", "Prompt tokens served from shared pages",
+            fn=lambda: self.pool.prefix_hit_tokens)
         m.gauge("batch_lanes", "Configured max_batch_size",
                 fn=lambda: self.config.max_batch_size)
         m.gauge("wall_seconds", "First -> latest engine clock read",
@@ -616,7 +591,7 @@ class GenerationEngine:
         ``on_token(event)`` streams as before.  Raises on capacity
         rejection — worst case over the model's ``max_seq``, more
         parallel samples than batch lanes, over the token budget, over
-        the paged pool's total size, or a full queue
+        the pool's total size, or a full queue
         (:class:`QueueFullError`); rejections are counted in
         :class:`EngineStats`.
         """
@@ -642,19 +617,18 @@ class GenerationEngine:
                     f"over max_batch_size={self.config.max_batch_size} lanes — "
                     "it could never be scheduled"
                 )
-            if self.pool is not None:
-                # Feasibility is per sample: forked samples share prompt
-                # pages copy-on-write, and under pool pressure the
-                # engine preempts samples until one runs alone — so a
-                # request is only hopeless if a *single* sample's worst
-                # case cannot fit the pool.
-                pages = -(-request.token_footprint // self.pool.block_tokens)
-                if pages > self.pool.num_blocks:
-                    raise ValueError(
-                        f"request {rid!r} can need {pages} pages, over the "
-                        f"pool's num_blocks of {self.pool.num_blocks} — it "
-                        "could never be scheduled"
-                    )
+            # Feasibility is per sample: forked samples share prompt
+            # pages copy-on-write, and under pool pressure the engine
+            # preempts samples until one runs alone — so a request is
+            # only hopeless if a *single* sample's worst case cannot fit
+            # the pool.
+            pages = -(-request.token_footprint // self.pool.block_tokens)
+            if pages > self.pool.num_blocks:
+                raise ValueError(
+                    f"request {rid!r} can need {pages} pages, over the "
+                    f"pool's num_blocks of {self.pool.num_blocks} — it "
+                    "could never be scheduled"
+                )
             seq = _Sequence(request, on_token, self._now())
             seq.arrival_seq = self._arrivals
             seq.timeout_s = (
@@ -692,7 +666,7 @@ class GenerationEngine:
         Queued requests are dropped before ever touching the model;
         running ones — mid-chunked-prefill or decoding, every parallel
         sample — finish immediately with ``FINISH_CANCELLED``, their
-        blocks/arena slots released and a finish :class:`TokenEvent`
+        pool blocks released and a finish :class:`TokenEvent`
         delivered to the request's ``on_token`` callback.  Safe to call
         from inside an ``on_token`` callback: storage release then
         defers to the end of the in-flight tick.  Returns False for
@@ -900,14 +874,11 @@ class GenerationEngine:
             self._tl(seq, "admit", resumed=seq.resuming)
             ids = seq.prefill_ids()
             try:
-                # Admission is where arena slots / pool leases are
-                # taken — the alloc fault site for this sequence.
+                # Admission is where pool leases are taken — the alloc
+                # fault site for this sequence.
                 self._fire(ALLOC, seq)
-                if self.pool is not None:
-                    seq.lease = self.pool.acquire(self._cache_factory)
-                    seq.lease.match_prefix(ids)
-                else:
-                    seq.lease = self.arena.acquire()
+                seq.lease = self.pool.acquire(self._cache_factory)
+                seq.lease.match_prefix(ids)
                 if chunked:
                     # No forward yet — the prompt enters the chunk queue.
                     seq.pending_ids = ids
@@ -929,8 +900,7 @@ class GenerationEngine:
             seq.prefill_chunks += 1
             self._prefill_tokens.inc(int(ids.size))
             self._tl(seq, "prefill", tokens=int(ids.size))
-            if self.pool is not None:
-                seq.lease.register_prefix(ids)
+            seq.lease.register_prefix(ids)
             self._finish_prefill(seq, logits, events)
 
     # ------------------------------------------------------------------
@@ -942,7 +912,7 @@ class GenerationEngine:
         The decode rows are every running, unfinished, fully prefilled
         sequence; the chunk set comes from the scheduler's token-budget
         policy (decode tokens are charged against
-        ``max_tokens_per_tick`` first).  Paged engines then check that
+        ``max_tokens_per_tick`` first).  The engine then checks that
         the tick's page demands fit the pool — page *allocation* stays
         on demand inside the cache appends — preempting the
         policy-chosen victim (decoding or half-prefilled alike) back to
@@ -968,17 +938,14 @@ class GenerationEngine:
                 decode = [s for s in decode if self._gate(FORWARD, s, events)]
                 chunks = [(s, n) for s, n in chunks
                           if self._gate(FORWARD, s, events)]
-                if self.pool is not None:
-                    # Alloc faults target sequences that need new pages
-                    # this tick (mid-decode block-boundary growth).
-                    decode = [s for s in decode
-                              if s.lease.new_pages_for(s.pos + 1) == 0
-                              or self._gate(ALLOC, s, events)]
-                    chunks = [(s, n) for s, n in chunks
-                              if s.lease.new_pages_for(s.cursor.done + n) == 0
-                              or self._gate(ALLOC, s, events)]
-            if self.pool is None:
-                return decode, chunks
+                # Alloc faults target sequences that need new pages this
+                # tick (mid-decode block-boundary growth).
+                decode = [s for s in decode
+                          if s.lease.new_pages_for(s.pos + 1) == 0
+                          or self._gate(ALLOC, s, events)]
+                chunks = [(s, n) for s, n in chunks
+                          if s.lease.new_pages_for(s.cursor.done + n) == 0
+                          or self._gate(ALLOC, s, events)]
             need = sum(s.lease.new_pages_for(s.pos + 1) for s in decode)
             need += sum(s.lease.new_pages_for(s.cursor.done + n) for s, n in chunks)
             if need <= self.pool.blocks_available:
@@ -1165,8 +1132,7 @@ class GenerationEngine:
                          done=seq.cursor.done, total=seq.cursor.total)
                 if seq.cursor.complete:
                     seq.pos = seq.cursor.total
-                    if self.pool is not None:
-                        seq.lease.register_prefix(seq.pending_ids)
+                    seq.lease.register_prefix(seq.pending_ids)
                     seq.cursor = None
                     seq.pending_ids = None
                     if not seq.finished:
@@ -1199,18 +1165,15 @@ class GenerationEngine:
     def _spawn_samples(self, seq: _Sequence, logits, events: list) -> None:
         """Materialize samples 1..n-1 off sample 0's completed prefill.
 
-        Paged: :meth:`~repro.serve.paging.PagedLease.fork` — every
-        prompt page is shared copy-on-write, no extra prefill compute.
-        Arena: contiguous slots cannot alias, so the fallback replays
-        the prompt into a fresh slot per sample (compute repeated,
-        output identical).  Either way each sibling samples its *first*
-        token from the parent's prefill logits — the distributions are
-        identical by construction, and reusing the parent's avoids a
-        spurious dependence on packed-GEMM ulp wobble — and then
-        decodes as an independent lane.  The parent's reserved lanes
-        shrink to 1; each sibling carries its own lane from here on.
+        :meth:`~repro.serve.paging.PagedLease.fork` shares every prompt
+        page copy-on-write, so there is no extra prefill compute.  Each
+        sibling samples its *first* token from the parent's prefill
+        logits — the distributions are identical by construction, and
+        reusing the parent's avoids a spurious dependence on packed-GEMM
+        ulp wobble — and then decodes as an independent lane.  The
+        parent's reserved lanes shrink to 1; each sibling carries its
+        own lane from here on.
         """
-        prompt = seq.request.prompt
         seq.lanes = 1
         self._tl(seq, "fork", n=seq.request.n)
         for i in range(1, seq.request.n):
@@ -1233,15 +1196,7 @@ class GenerationEngine:
             sibling.admit_time = seq.admit_time
             sibling.family = seq.family
             seq.family.append(sibling)
-            if self.pool is not None:
-                sibling.lease = seq.lease.fork()
-            else:
-                sibling.lease = self.arena.acquire()
-                self.model.prefill(
-                    prompt, sibling.lease.caches,
-                    weights=self.weights, act_quant=self.act_quant,
-                )
-                self._prefill_tokens.inc(int(prompt.size))
+            sibling.lease = seq.lease.fork()
             sibling.pos = seq.pos
             self.scheduler.add_running(sibling)
             self._emit(sibling, sibling.sampler.sample(logits), events)
@@ -1322,10 +1277,7 @@ class GenerationEngine:
     def _release_storage(self, seq: _Sequence) -> None:
         if seq.lease is None:
             return               # queued / preempted: nothing leased
-        if self.pool is not None:
-            seq.lease.release()
-        else:
-            self.arena.release(seq.lease)
+        seq.lease.release()
         seq.lease = None
 
     def _retire(self, seq: _Sequence) -> None:
@@ -1531,8 +1483,11 @@ class GenerationEngine:
             raise ValueError(
                 f"unsupported snapshot version {snapshot.get('version')!r}"
             )
-        cfg = config if config is not None else ServeConfig(**snapshot["config"])
-        engine = cls(model, cache_factory, cfg, **engine_kwargs)
+        if config is None:
+            fields = {k: v for k, v in snapshot["config"].items()
+                      if k not in _RETIRED_CONFIG_KEYS}
+            config = ServeConfig(**fields)
+        engine = cls(model, cache_factory, config, **engine_kwargs)
         for record in sorted(snapshot["requests"], key=lambda r: r["arrival_seq"]):
             engine._restore_request(record, on_token)
         return engine
@@ -1635,7 +1590,7 @@ class GenerationEngine:
         """Verify engine-wide resource accounting; raises on violation.
 
         Checked: pool block refcounts against the running leases' page
-        tables (paged), arena slot accounting (arena), scheduler lane
+        tables, scheduler lane
         bookkeeping against ``max_batch_size``, and request-id
         registration.  Runs after every tick in strict mode
         (``ServeConfig.check_invariants`` or ``REPRO_SERVE_STRICT=1`` —
@@ -1673,23 +1628,12 @@ class GenerationEngine:
             raise RuntimeError(
                 f"requests both live and holding a recorded result: {stale}"
             )
-        if self.pool is not None:
-            expected: dict[int, int] = {}
-            for seq in running:
-                if seq.lease is not None:
-                    for bid in seq.lease.table.blocks:
-                        expected[bid] = expected.get(bid, 0) + 1
-            self.pool.check_integrity(expected)
-        else:
-            slots = [seq.lease.slot for seq in running if seq.lease is not None]
-            if len(slots) != len(set(slots)):
-                raise RuntimeError(f"arena slot double-leased: {sorted(slots)}")
-            if self.arena.slots_in_use != len(slots):
-                raise RuntimeError(
-                    f"arena slot accounting violated: {self.arena.slots_in_use} "
-                    f"slots in use, {len(slots)} leases held by running "
-                    "sequences"
-                )
+        expected: dict[int, int] = {}
+        for seq in running:
+            if seq.lease is not None:
+                for bid in seq.lease.table.blocks:
+                    expected[bid] = expected.get(bid, 0) + 1
+        self.pool.check_integrity(expected)
 
     # ------------------------------------------------------------------
     # Stats

@@ -19,8 +19,8 @@ Injection sites (the engine documents where each fires):
     forward fault never half-mutates bystander caches — the offender is
     quarantined, everyone else's tick proceeds untouched.
 ``ALLOC``
-    KV storage allocation fails — at admission (arena slot / first
-    lease) or when a paged sequence needs new pages this tick.  Also
+    KV storage allocation fails — at admission (the pool lease) or
+    when a sequence needs new pages this tick.  Also
     consulted by :meth:`~repro.serve.paging.BlockPool.allocate` itself,
     which covers allocations the planner cannot anticipate
     (copy-on-write clones).

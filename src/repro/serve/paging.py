@@ -1,9 +1,9 @@
 """Paged quantized KV-cache subsystem: block pool, prefix sharing, COW.
 
-PR 2's :class:`~repro.quant.kvcache.KVCacheArena` carves contiguous
-per-slot slabs, so one sequence's growth reallocates whole lanes and
-worst-case ``prompt + max_tokens`` admission strands memory.  This
-module replaces that with vLLM/mlc-llm-style paging:
+The serving engine's one KV storage backend.  Contiguous per-sequence
+storage would make one sequence's growth reallocate whole lanes and
+worst-case ``prompt + max_tokens`` admission strand memory; this module
+uses vLLM/mlc-llm-style paging instead:
 
 * **BlockPool** — fixed-size pages of ``block_tokens`` tokens backed by
   one shared ``(heads, num_blocks, block_tokens, d_head)`` slab per
@@ -38,8 +38,9 @@ module replaces that with vLLM/mlc-llm-style paging:
 
 Correctness invariants (gated by ``tests/test_serve_paging.py``):
 
-* Paged greedy decode is token-for-token identical to the
-  contiguous-arena engine for FP16/INT4/MANT4 caches.  Prefix sharing
+* Paged greedy decode is token-for-token identical to the single-stream
+  ``prefill`` + ``decode_step`` loop over flat :class:`~repro.quant.
+  kvcache.TokenBuffer` caches for FP16/INT4/MANT4.  Prefix sharing
   preserves this because a full prompt page's content is a pure
   function of the token prefix: K rows are quantized per token, and
   full V windows are quantized directly from window data (the per-
@@ -109,11 +110,11 @@ class BlockPool:
     """Fixed-size KV pages shared by every sequence of one engine.
 
     One ``(heads, num_blocks, block_tokens, d_head)`` slab per
-    (layer, role) — created lazily at the first geometry sighting, like
-    the arena's slabs — with a single block-id space across all of
-    them: block ``b`` is row ``b`` of every slab, so a sequence's page
-    table is one list of ids covering all layers, and "blocks in use"
-    is a direct measure of KV memory.
+    (layer, role) — created lazily at the first geometry sighting —
+    with a single block-id space across all of them: block ``b`` is
+    row ``b`` of every slab, so a sequence's page table is one list of
+    ids covering all layers, and "blocks in use" is a direct measure of
+    KV memory.
     """
 
     def __init__(
@@ -615,7 +616,7 @@ class PagedView:
     the contiguous view.  When the pages are consecutive block ids (the
     common no-sharing case, tracked incrementally by the table) the
     gather is one zero-copy slice of the slab's flat alias — the same
-    cost as the arena's contiguous view.
+    cost as a flat :class:`~repro.quant.kvcache.TokenBuffer` view.
     """
 
     __slots__ = ("_slab", "_flat", "_table", "_len")
@@ -659,6 +660,11 @@ class PagedView:
 
     def __array__(self, dtype=None, copy=None):
         arr = self.gather()
+        if copy:
+            # A contiguous gather aliases the slab, whose block is
+            # rewritten once the lease releases it: a requested copy
+            # must own its storage.
+            return np.array(arr, dtype=dtype, copy=True)
         return np.asarray(arr, dtype=dtype) if dtype is not None else arr
 
 

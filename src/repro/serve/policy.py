@@ -15,7 +15,7 @@ scheduler/engine delegate every ordering decision to it:
     ``[(seq, n_tokens)]`` under the Sarathi-style token ``budget``
     (at most one chunk per sequence per tick).
 ``choose_preemption_victim(running)``
-    Which running sequence a paged engine evicts back to the queue
+    Which running sequence the engine evicts back to the queue
     when the block pool runs dry.
 
 Three implementations ship:

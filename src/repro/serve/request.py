@@ -65,9 +65,8 @@ class GenerationRequest:
     by the ``"deadline"`` (EDF) policy; ``None`` means no deadline.
     ``n`` asks for that many independent samples of the same prompt:
     the prompt is prefilled once and the KV pages are forked
-    copy-on-write per extra sample (paged backend; the arena backend
-    replays the prefill into a fresh slot), each sample drawing from
-    its own RNG stream derived from ``sampling.seed``.
+    copy-on-write per extra sample, each sample drawing from its own
+    RNG stream derived from ``sampling.seed``.
 
     ``timeout_s`` is a *hard* per-request wall-clock budget from
     submission: the engine finishes the request with
@@ -134,8 +133,8 @@ class GenerationRequest:
 
     @property
     def total_token_footprint(self) -> int:
-        """Worst-case KV tokens across all ``n`` samples (arena bound:
-        every extra sample replays the prompt into its own slot)."""
+        """Worst-case KV tokens across all ``n`` samples (the token-budget
+        bound: copy-on-write prompt sharing is not credited)."""
         return self.n * self.token_footprint
 
 

@@ -12,21 +12,20 @@ admission) lives here; *ordering* is delegated to a
   default :class:`~repro.serve.policy.FCFSPolicy` keeps arrival order
   — bit-for-bit the pre-policy scheduler.
 * **Batch-size cap.**  At most ``max_batch_size`` sample lanes decode
-  per tick — which is also the cache arena's slot count.  A request
-  asking for ``n`` parallel samples reserves ``n`` lanes at admission
-  (its forked samples join the running set once the shared prefill
-  completes).
+  per tick.  A request asking for ``n`` parallel samples reserves ``n``
+  lanes at admission (its forked samples join the running set once the
+  shared prefill completes).
 * **Token-budget admission.**  If ``max_tokens_in_flight`` is set, the
   sum of worst-case KV footprints (all samples' ``prompt + max_tokens``
   per running request) stays under it, modelling a bounded
   cache-memory pool.
-* **Block-aware admission** (paged engines).  When a block gauge is
-  bound, the head is admitted iff its *prefill* — not its worst case —
-  fits in the pool's actually-free pages; decode-time growth allocates
-  on demand and the engine preempts back into this queue (at the
-  front, preserving arrival order) on pool exhaustion.  This is what
-  lets a paged engine admit far more work than worst-case token budgets
-  would.
+* **Block-aware admission.**  When a block gauge is bound (the engine
+  always binds its pool's), the head is admitted iff its *prefill* —
+  not its worst case — fits in the pool's actually-free pages;
+  decode-time growth allocates on demand and the engine preempts back
+  into this queue (at the front, preserving arrival order) on pool
+  exhaustion.  This is what lets the engine admit far more work than
+  worst-case token budgets would.
 * **Prefix-aware admission.**  A bound ``prefix_probe`` reports how
   many of the head's leading prompt pages are already backed by live
   shared blocks; only the pages a prefix-cache hit *won't* cover are
@@ -46,37 +45,16 @@ admission) lives here; *ordering* is delegated to a
 Admission happens between decode ticks: as requests finish mid-batch,
 their slots free up and the next tick's :meth:`Scheduler.admit_one`
 pulls queued requests in.
-
-.. deprecated::
-    ``repro.serve.scheduler.ServeConfig`` moved to
-    :mod:`repro.serve.config`; the name importable here is a
-    deprecated alias.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 
-from repro.serve.config import ServeConfig as _ServeConfig
+from repro.serve.config import ServeConfig
 from repro.serve.policy import FCFSPolicy, SchedulerPolicy, get_policy
 
-# lint: allow[export-consistency] ServeConfig has no static binding here by
-# design: the module __getattr__ below serves it as a deprecated alias of
-# repro.serve.config.ServeConfig with a DeprecationWarning.
-__all__ = ["ServeConfig", "Scheduler", "QueueFullError"]
-
-
-def __getattr__(name):
-    if name == "ServeConfig":
-        warnings.warn(
-            "repro.serve.scheduler.ServeConfig is deprecated; import it "
-            "from repro.serve (or repro.serve.config)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _ServeConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["Scheduler", "QueueFullError"]
 
 
 class QueueFullError(RuntimeError):
@@ -102,7 +80,7 @@ class Scheduler:
     with a custom aging cap).
     """
 
-    def __init__(self, config: _ServeConfig, policy: SchedulerPolicy | None = None):
+    def __init__(self, config: ServeConfig, policy: SchedulerPolicy | None = None):
         self.config = config
         self.policy = get_policy(
             policy if policy is not None
@@ -113,7 +91,7 @@ class Scheduler:
             bind(config.prefill_chunk_tokens)
         self._queue: deque = deque()
         self._running: list = []
-        self._block_gauge = None      # () -> free blocks, bound by paged engines
+        self._block_gauge = None      # () -> free blocks, bound by the engine
         self._block_tokens = 0
         self._prefix_probe = None     # (ids) -> pages covered by live shared blocks
 
@@ -261,7 +239,7 @@ class Scheduler:
         """Admit the policy-ordered head if it fits, else ``None``.
 
         Head-of-line over the *ordered* queue: only the request the
-        policy ranks first is considered.  Paged engines admit one
+        policy ranks first is considered.  The engine admits one
         request at a time so each admission's page allocations are
         visible to the next fit check.
         """

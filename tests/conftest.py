@@ -8,9 +8,9 @@ import pytest
 from repro.model.zoo import get_model
 
 # Every serving engine built under the test suite runs its invariant
-# checker (pool refcounts, arena slot accounting, lane bookkeeping)
-# after every tick — resource-hygiene bugs fail loudly at the tick that
-# introduced them, not as a flaky assertion three suites later.
+# checker (pool refcounts, lane bookkeeping) after every tick —
+# resource-hygiene bugs fail loudly at the tick that introduced them,
+# not as a flaky assertion three suites later.
 os.environ.setdefault("REPRO_SERVE_STRICT", "1")
 
 

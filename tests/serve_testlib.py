@@ -3,8 +3,7 @@
 The cancel, fault, and timeout suites all end on the same question: did
 the engine give *everything* back?  :func:`assert_storage_baseline` is
 that check, factored once — every pool block free (none leaked to a
-quarantined or timed-out sequence), every arena slot returned, and the
-engine's own :meth:`~repro.serve.engine.GenerationEngine.
+quarantined or timed-out sequence) and the engine's own :meth:`~repro.serve.engine.GenerationEngine.
 check_invariants` clean — so a storage leak fails identically no matter
 which suite exposes it.
 """
@@ -14,20 +13,14 @@ import numpy as np
 
 def assert_storage_baseline(engine) -> None:
     """Assert the engine holds no request storage and its books balance."""
-    if engine.pool is not None:
-        assert engine.pool.blocks_in_use == 0, (
-            f"{engine.pool.blocks_in_use} pool blocks still referenced "
-            "after all requests finished"
-        )
-        assert engine.pool.blocks_available == engine.pool.num_blocks, (
-            f"pool not back to baseline: {engine.pool.blocks_available} of "
-            f"{engine.pool.num_blocks} blocks available"
-        )
-    else:
-        assert engine.arena.slots_in_use == 0, (
-            f"{engine.arena.slots_in_use} arena slots still leased "
-            "after all requests finished"
-        )
+    assert engine.pool.blocks_in_use == 0, (
+        f"{engine.pool.blocks_in_use} pool blocks still referenced "
+        "after all requests finished"
+    )
+    assert engine.pool.blocks_available == engine.pool.num_blocks, (
+        f"pool not back to baseline: {engine.pool.blocks_available} of "
+        f"{engine.pool.num_blocks} blocks available"
+    )
     engine.check_invariants()
 
 

@@ -3,8 +3,8 @@
 The load-bearing properties:
 
 * chunked greedy engine output is token-for-token identical to the
-  unchunked engine for every KV-cache type, over both storage backends,
-  with and without prefix sharing;
+  unchunked engine for every KV-cache type, with and without prefix
+  sharing;
 * cache-level ``prefill_chunk`` is *bitwise* identical to one-shot
   ``prefill`` on the same raw tensors (chunk boundaries land on
   quantization-window boundaries, and the INT8 staging scales are fixed
@@ -25,12 +25,7 @@ import numpy as np
 import pytest
 
 from repro.model.transformer import MixedSegment, ModelConfig, TransformerLM
-from repro.quant.kvcache import (
-    FP16KVCache,
-    IntKVCache,
-    MantKVCache,
-    validate_chunk_compat,
-)
+from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
 from repro.sampling import SamplingParams
 from repro.serve import (
     GenerationEngine,
@@ -133,12 +128,6 @@ class TestCacheChunkBitIdentity:
         with pytest.raises(RuntimeError, match="unfinished chunked prefill"):
             cache.append(rng.standard_normal((2, 16)), rng.standard_normal((2, 16)))
 
-    def test_validate_chunk_compat(self):
-        validate_chunk_compat(FP16KVCache(), 10)          # any size fine
-        validate_chunk_compat(CACHE_FACTORIES["mant4"](), 32)
-        with pytest.raises(ValueError, match="multiple of"):
-            validate_chunk_compat(CACHE_FACTORIES["mant4"](), 24)
-
 
 # ======================================================================
 # Model level: prefill_chunk / forward_mixed
@@ -215,10 +204,10 @@ class TestModelMixedForward:
 # ======================================================================
 class TestChunkedEngineEquivalence:
     @pytest.mark.parametrize("cache_name", list(CACHE_FACTORIES))
-    @pytest.mark.parametrize("backend", ["arena", "paged", "paged_shared"])
+    @pytest.mark.parametrize("backend", ["paged", "paged_shared"])
     def test_chunked_equals_unchunked(self, model, cache_name, backend):
         """Chunked greedy output == unchunked, token for token, for
-        FP16/INT4/MANT4 over arena and paged (± prefix sharing)."""
+        FP16/INT4/MANT4 (± prefix sharing)."""
         factory = CACHE_FACTORIES[cache_name]
         if backend == "paged_shared":
             rng = np.random.default_rng(11)
@@ -227,10 +216,8 @@ class TestChunkedEngineEquivalence:
                   for n in rng.integers(4, 30, size=5)]
         else:
             ps = prompts(5, seed=12)
-        base = dict(max_batch_size=3)
-        if backend != "arena":
-            base.update(paged=True, block_tokens=16,
-                        enable_prefix_cache=backend == "paged_shared")
+        base = dict(max_batch_size=3, block_tokens=16,
+                    enable_prefix_cache=backend == "paged_shared")
         ref = GenerationEngine(model, factory, ServeConfig(**base))
         chunked = GenerationEngine(model, factory, ServeConfig(
             **base, prefill_chunk_tokens=16, max_tokens_per_tick=32))
@@ -245,7 +232,8 @@ class TestChunkedEngineEquivalence:
         ps = prompts(4, seed=13)
         ref = GenerationEngine(opt_model, FP16KVCache, ServeConfig(max_batch_size=4))
         chunked = GenerationEngine(opt_model, FP16KVCache, ServeConfig(
-            max_batch_size=4, prefill_chunk_tokens=16, max_tokens_per_tick=24))
+            max_batch_size=4, block_tokens=16, prefill_chunk_tokens=16,
+            max_tokens_per_tick=24))
         rr = ref.generate(requests(ps, max_tokens=6))
         rc = chunked.generate(requests(ps, max_tokens=6))
         for i in range(len(ps)):
@@ -258,9 +246,9 @@ class TestChunkedEngineEquivalence:
         ps = prompts(4, seed=14, lo=40, hi=65)
         outs = []
         for cfg in (
-            ServeConfig(max_batch_size=4, prefill_chunk_tokens=16,
+            ServeConfig(max_batch_size=4, block_tokens=16, prefill_chunk_tokens=16,
                         max_tokens_per_tick=16),
-            ServeConfig(max_batch_size=4, prefill_chunk_tokens=16,
+            ServeConfig(max_batch_size=4, block_tokens=16, prefill_chunk_tokens=16,
                         max_tokens_per_tick=64),
             ServeConfig(max_batch_size=4, prefill_chunk_tokens=32),
             ServeConfig(max_batch_size=4),            # unchunked reference
@@ -278,7 +266,7 @@ class TestChunkedEngineEquivalence:
         """No tick may run more prefill-chunk tokens than the budget
         leaves after its decode rows."""
         ps = prompts(4, seed=15, lo=60, hi=70)
-        cfg = ServeConfig(max_batch_size=4, prefill_chunk_tokens=16,
+        cfg = ServeConfig(max_batch_size=4, block_tokens=16, prefill_chunk_tokens=16,
                           max_tokens_per_tick=32)
         eng = GenerationEngine(model, FP16KVCache, cfg)
         for r in requests(ps, max_tokens=4):
@@ -299,7 +287,8 @@ class TestChunkedEngineEquivalence:
         short = prompts(2, seed=16, lo=4, hi=6)
         long_prompt = prompts(1, seed=17, lo=200, hi=201)[0]
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=3, prefill_chunk_tokens=16, max_tokens_per_tick=24))
+            max_batch_size=3, block_tokens=16, prefill_chunk_tokens=16,
+            max_tokens_per_tick=24))
         for r in requests(short, max_tokens=20):
             eng.submit(r)
         eng.step()                                   # shorts prefill+first token
@@ -317,7 +306,7 @@ class TestChunkedEngineEquivalence:
 
     def test_ttft_and_itl_stats_recorded(self, model):
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=2, prefill_chunk_tokens=16))
+            max_batch_size=2, block_tokens=16, prefill_chunk_tokens=16))
         res = eng.generate(requests(prompts(3, seed=18), max_tokens=5))
         st = eng.stats()
         assert st.ttft_p50_s > 0 and st.ttft_p95_s >= st.ttft_p50_s
@@ -338,7 +327,7 @@ class TestChunkedEngineEquivalence:
 # ======================================================================
 class TestChunkedPreemption:
     def _tight_engine(self, model, **over):
-        cfg = dict(max_batch_size=2, paged=True, block_tokens=16, num_blocks=8,
+        cfg = dict(max_batch_size=2, block_tokens=16, num_blocks=8,
                    enable_prefix_cache=False, prefill_chunk_tokens=16)
         cfg.update(over)
         return GenerationEngine(model, FP16KVCache, ServeConfig(**cfg))
@@ -391,7 +380,7 @@ class TestChunkedPreemption:
         rng = np.random.default_rng(25)
         ps = [rng.integers(0, VOCAB, size=96) for _ in range(4)]   # 6 pages each
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16, num_blocks=8,
+            max_batch_size=4, block_tokens=16, num_blocks=8,
             enable_prefix_cache=False, prefill_chunk_tokens=16))
         res = eng.generate(requests(ps, max_tokens=4))
         st = eng.stats()
@@ -425,7 +414,7 @@ class TestPrefixAwareAdmission:
         rng = np.random.default_rng(21)
         prompt = rng.integers(0, VOCAB, size=32)     # 2 pages at bt=16
         cold = rng.integers(0, VOCAB, size=32)
-        cfg = dict(max_batch_size=2, paged=True, block_tokens=16, num_blocks=4)
+        cfg = dict(max_batch_size=2, block_tokens=16, num_blocks=4)
         warm = GenerationEngine(model, FP16KVCache, ServeConfig(**cfg))
         warm.submit(GenerationRequest("a", prompt, max_tokens=6))
         warm.submit(GenerationRequest("b", prompt, max_tokens=6))
@@ -450,7 +439,7 @@ class TestPrefixAwareAdmission:
         rng = np.random.default_rng(22)
         prompt = rng.integers(0, VOCAB, size=32)
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=1, paged=True, block_tokens=16, num_blocks=6))
+            max_batch_size=1, block_tokens=16, num_blocks=6))
         eng.generate([GenerationRequest("a", prompt, max_tokens=4)])
         pool = eng.pool
         assert pool.probe_prefix(prompt) == 0        # donor gone: pages cached-free
@@ -463,7 +452,7 @@ class TestPrefixAwareAdmission:
         rng = np.random.default_rng(23)
         prompt = rng.integers(0, VOCAB, size=32)
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=2, paged=True, block_tokens=16, num_blocks=6,
+            max_batch_size=2, block_tokens=16, num_blocks=6,
             enable_prefix_cache=False))
         eng.generate([GenerationRequest("a", prompt, max_tokens=4)])
         assert eng.pool.probe_prefix(prompt) == 0
@@ -478,7 +467,7 @@ class TestChunkConfigValidation:
         ({"max_tokens_per_tick": 32}, "requires prefill_chunk_tokens"),
         ({"prefill_chunk_tokens": 32, "max_tokens_per_tick": 16},
          "max_tokens_per_tick"),
-        ({"paged": True, "block_tokens": 16, "prefill_chunk_tokens": 24},
+        ({"block_tokens": 16, "prefill_chunk_tokens": 24},
          "multiple of block_tokens"),
     ])
     def test_bad_chunk_knobs_rejected(self, kwargs, match):
@@ -486,12 +475,14 @@ class TestChunkConfigValidation:
             ServeConfig(**kwargs)
 
     def test_window_straddling_chunk_rejected_at_engine_init(self, model):
-        with pytest.raises(ValueError, match="multiple of"):
+        """Chunks are whole pages (config) and pages whole V windows
+        (engine), so a window-straddling chunk cannot reach a tick."""
+        with pytest.raises(ValueError, match="MANT V-cache window"):
             GenerationEngine(model, CACHE_FACTORIES["mant4"], ServeConfig(
-                prefill_chunk_tokens=24))
+                block_tokens=24, prefill_chunk_tokens=24))
 
     def test_valid_chunk_config_accepted(self, model):
-        cfg = ServeConfig(paged=True, block_tokens=16, prefill_chunk_tokens=32,
+        cfg = ServeConfig(block_tokens=16, prefill_chunk_tokens=32,
                           max_tokens_per_tick=64)
         eng = GenerationEngine(model, CACHE_FACTORIES["mant4"], cfg)
         res = eng.generate(requests(prompts(2, seed=24), max_tokens=3))

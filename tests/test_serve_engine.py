@@ -6,6 +6,7 @@ every KV-cache type, regardless of batch composition.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -237,9 +238,9 @@ class TestSchedulingEdgeCases:
             assert results[f"r{i}"].finish_reason == FINISH_LENGTH
         st = engine.stats()
         assert st.requests_completed == 5
-        assert st.cache_slots_high_water <= 2
-        assert engine.arena.total_leases == 5        # slots recycled
-        assert engine.arena.slots_free == 2          # all returned
+        assert st.cache_slots_high_water <= 2        # one page per lane
+        assert engine.pool.total_leases == 5         # blocks recycled
+        assert engine.pool.blocks_available == engine.pool.num_blocks
 
     def test_admission_while_full_queues(self, model):
         engine = GenerationEngine(model, FP16KVCache, ServeConfig(max_batch_size=1))
@@ -452,7 +453,8 @@ class TestStreaming:
         assert 1.0 <= st.mean_batch_occupancy <= 2.0
         assert st.tokens_per_s > 0
         assert st.mean_queue_latency_s >= 0
-        assert st.cache_slots == 2
+        # Default pool: every lane's worst case (max_seq) in 32-token pages.
+        assert st.cache_slots == 2 * math.ceil(model.config.max_seq / 32)
 
 
 # ======================================================================
@@ -462,7 +464,7 @@ class TestOneForward:
     @pytest.mark.parametrize("config", [
         ServeConfig(max_batch_size=3),
         ServeConfig.chunked(block_tokens=16, max_batch_size=3),
-    ], ids=["arena_unchunked", "paged_chunked"])
+    ], ids=["paged_unchunked", "paged_chunked"])
     def test_decode_only_ticks_call_forward_mixed_once(self, model, config,
                                                        monkeypatch):
         calls = []

@@ -3,10 +3,10 @@
 Gates, per the PR acceptance criteria:
 
 * the fault matrix — {timeout, callback raise, forward fault, alloc
-  fault, snapshot/restore} × {arena, paged} × {queued, mid-prefill,
-  mid-decode} — asserting after every scenario that bystander requests'
-  outputs are token-for-token identical to a fault-free run and that
-  pool/arena free counts return to baseline;
+  fault, snapshot/restore} × {whole-prompt, chunked} admission ×
+  {queued, mid-prefill, mid-decode} — asserting after every scenario
+  that bystander requests' outputs are token-for-token identical to a
+  fault-free run and that pool free counts return to baseline;
 * bounded retry-with-recompute for transient faults (and for real
   forward exceptions), quarantine as ``FINISH_ERROR`` past the budget;
 * deterministic seeded chaos: the same seed against the same workload
@@ -18,6 +18,8 @@ Gates, per the PR acceptance criteria:
   window, so its restore gate is completion-only);
 * the submit() exception path leaves no registered id behind (the same
   id resubmits cleanly after a rejection);
+* snapshots written before the pool became the only storage (their
+  config still names the retired storage fields) restore onto pages;
 * the always-on-in-tests invariant checker catches planted
   storage-accounting corruption.
 
@@ -63,14 +65,14 @@ EXACT_CACHES = ["fp16", "int4"]   # deterministic under recompute replay
 
 def _config(backend, **kw):
     kw.setdefault("max_batch_size", 4)
-    if backend in ("paged", "chunked"):
-        kw.setdefault("paged", True)
-        kw.setdefault("block_tokens", 16)
+    kw.setdefault("block_tokens", 16)
     if backend == "chunked":
         kw.setdefault("prefill_chunk_tokens", 16)
         kw.setdefault("max_tokens_per_tick", 32)
     return ServeConfig(**kw)
-BACKENDS = ["arena", "paged"]
+
+
+BACKENDS = ["paged", "chunked"]     # whole-prompt vs chunked admission
 
 
 @pytest.fixture(scope="module")
@@ -213,12 +215,9 @@ class TestTimeouts:
         assert any(e.request_id == "r1" and e.finish_reason == FINISH_TIMEOUT
                    for e in events)
         # Storage came back the moment the sweep ran, not at engine idle.
-        if eng.pool is not None:
-            held = sum(len(s.lease.table.blocks)
-                       for s in eng.scheduler.running if s.lease is not None)
-            assert eng.pool.blocks_in_use == held
-        else:
-            assert eng.arena.slots_in_use == 1
+        held = sum(len(s.lease.table.blocks)
+                   for s in eng.scheduler.running if s.lease is not None)
+        assert eng.pool.blocks_in_use == held
         res = eng.result("r1")
         assert res.finish_reason == FINISH_TIMEOUT
         assert 0 < len(res.tokens) < 20          # partial output retained
@@ -229,7 +228,7 @@ class TestTimeouts:
     def test_engine_wide_timeout_and_per_request_override(self, model):
         clock = ManualClock()
         ps = prompts(2, seed=3)
-        eng = make_engine(model, "arena", clock=clock, request_timeout_s=5.0)
+        eng = make_engine(model, "paged", clock=clock, request_timeout_s=5.0)
         eng.submit(GenerationRequest("r0", ps[0], max_tokens=30))
         # Per-request budget beats the engine-wide default.
         eng.submit(GenerationRequest("r1", ps[1], max_tokens=30,
@@ -262,7 +261,7 @@ class TestTimeouts:
     def test_no_timeout_configured_never_expires(self, model):
         clock = ManualClock()
         ps = prompts(1, seed=5)
-        eng = make_engine(model, "arena", clock=clock)
+        eng = make_engine(model, "paged", clock=clock)
         eng.submit(GenerationRequest("r0", ps[0], max_tokens=8))
         clock.advance(1e9)
         eng.generate()
@@ -371,7 +370,7 @@ class TestForwardFaults:
 
     def test_max_retries_zero_fails_immediately(self, model):
         fi = FaultInjector().arm(FORWARD, "r0", transient=True)
-        eng = make_engine(model, "arena", max_retries=0, faults=fi)
+        eng = make_engine(model, "paged", max_retries=0, faults=fi)
         eng.submit(GenerationRequest("r0", prompts(1)[0], max_tokens=6))
         eng.generate()
         assert eng.result("r0").finish_reason == FINISH_ERROR
@@ -505,7 +504,7 @@ class TestChaos:
 # ======================================================================
 class TestSubmitRejection:
     def test_rejected_id_can_resubmit_immediately(self, model):
-        eng = make_engine(model, "arena")
+        eng = make_engine(model, "paged")
         p = prompts(1, seed=17)[0]
         with pytest.raises(ValueError, match="max_seq"):
             eng.submit(GenerationRequest("r0", p, max_tokens=10_000))
@@ -518,7 +517,7 @@ class TestSubmitRejection:
         assert_storage_baseline(eng)
 
     def test_queue_full_rejection_then_resubmit(self, model):
-        eng = make_engine(model, "arena", max_queue_len=1, max_batch_size=1)
+        eng = make_engine(model, "paged", max_queue_len=1, max_batch_size=1)
         ps = prompts(3, seed=18)
         eng.submit(GenerationRequest("q0", ps[0], max_tokens=4))
         with pytest.raises(QueueFullError):
@@ -629,7 +628,7 @@ class TestSnapshotRestore:
         # The graceful-shutdown shape: drain in-flight work, snapshot
         # the queue, bring it back up elsewhere.
         ps = prompts(4, seed=23)
-        eng = make_engine(model, "arena", max_batch_size=2)
+        eng = make_engine(model, "paged", max_batch_size=2)
         for i, p in enumerate(ps):
             eng.submit(GenerationRequest(f"r{i}", p, max_tokens=8))
         eng.step()
@@ -663,8 +662,26 @@ class TestSnapshotRestore:
             assert len(res.tokens) == 10
         assert_storage_baseline(eng2)
 
+    def test_pre_pool_snapshot_config_restores(self, model):
+        """A version-1 snapshot whose config carries the retired storage
+        fields (``paged``, ``initial_cache_capacity``) restores onto
+        pages and finishes token-for-token like an undisturbed run."""
+        ps = prompts(3, seed=26)
+        eng = make_engine(model, "paged", max_batch_size=2)
+        for i, p in enumerate(ps):
+            eng.submit(GenerationRequest(f"r{i}", p, max_tokens=10))
+        for _ in range(4):
+            eng.step()
+        snap = json.loads(json.dumps(eng.snapshot()))
+        snap["config"].update(paged=False, initial_cache_capacity=64)
+        eng2 = GenerationEngine.restore(snap, model, FP16KVCache)
+        assert eng2.config == eng.config
+        eng2.generate()
+        check_bystanders(model, eng2, "fp16", ps, set(), 10)
+        assert_storage_baseline(eng2)
+
     def test_snapshot_version_and_callbacks(self, model):
-        eng = make_engine(model, "arena")
+        eng = make_engine(model, "paged")
         eng.submit(GenerationRequest("r", prompts(1, seed=25)[0], max_tokens=4))
         snap = eng.snapshot()
         with pytest.raises(ValueError, match="version"):
@@ -686,14 +703,6 @@ class TestInvariantChecker:
         eng.generate([GenerationRequest("r", prompts(1)[0], max_tokens=4)])
         eng.check_invariants()           # no raise
 
-    def test_stray_arena_lease_detected(self, model):
-        eng = make_engine(model, "arena")
-        lease = eng.arena.acquire()      # storage no sequence accounts for
-        with pytest.raises(RuntimeError, match="arena slot accounting"):
-            eng.check_invariants()
-        eng.arena.release(lease)
-        eng.check_invariants()
-
     def test_leaked_pool_block_detected(self, model):
         eng = make_engine(model, "paged")
         bid = eng.pool.allocate()        # referenced, held by no lease
@@ -705,10 +714,11 @@ class TestInvariantChecker:
     def test_strict_mode_runs_every_tick(self, model, monkeypatch):
         # conftest sets REPRO_SERVE_STRICT=1: a mid-serve corruption
         # fails the very tick it appears, from inside step().
-        eng = make_engine(model, "arena")
+        eng = make_engine(model, "paged")
         eng.submit(GenerationRequest("r", prompts(1)[0], max_tokens=6))
         eng.step()
-        stray = eng.arena.acquire()
-        with pytest.raises(RuntimeError, match="arena slot accounting"):
+        stray = eng.pool.allocate()      # referenced, held by no lease
+        with pytest.raises(RuntimeError, match="refcount"):
             eng.step()
-        eng.arena.release(stray)
+        eng.pool.decref(stray)
+        eng.check_invariants()

@@ -455,7 +455,7 @@ class TestSnapshotRotation:
 # Satellite: per-sample cancel
 # ---------------------------------------------------------------------------
 class TestCancelSample:
-    CFG = ServeConfig(max_batch_size=4, paged=True, block_tokens=8)
+    CFG = ServeConfig(max_batch_size=4, block_tokens=8)
 
     def test_post_fork_cancel_releases_lease_siblings_exact(self, model):
         p = prompts(1, seed=4, lo=8, hi=9)[0]
@@ -534,7 +534,7 @@ class TestDrainUnderChaos:
         fi = FaultInjector(seed=21)
         fi.chaos(FORWARD, probability=0.25, transient=True)
         fi.chaos(ALLOC, probability=0.15, transient=True)
-        cfg = ServeConfig(max_batch_size=3, paged=True, block_tokens=8)
+        cfg = ServeConfig(max_batch_size=3, block_tokens=8)
         eng = GenerationEngine(model, FP16KVCache, cfg, faults=fi)
         handles = [eng.submit(r)
                    for r in requests(prompts(8, seed=14, lo=5, hi=10),
@@ -579,7 +579,7 @@ class TestDrainUnderChaos:
 # Satellite: recompute-aware preemption
 # ---------------------------------------------------------------------------
 class TestRecomputeAwarePreemption:
-    CFG = ServeConfig(max_batch_size=3, paged=True, block_tokens=8,
+    CFG = ServeConfig(max_batch_size=3, block_tokens=8,
                       num_blocks=8, enable_prefix_cache=False)
 
     def run_saturated(self, model, w):

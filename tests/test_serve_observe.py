@@ -16,7 +16,7 @@ Gates, per the PR acceptance criteria:
   matrix's scenarios (timeout, transient retry, preemption), with
   fired injected faults joined against the injector's log by index;
 * determinism: observe on vs off leaves token output bit-identical for
-  every cache type on both storage backends (the tracer clock is
+  every cache type in both admission modes (the tracer clock is
   separate from the engine clock by design), and ``observe=False`` is
   a true no-op — no spans, no timelines, ``result.trace is None``;
 * ``wall_elapsed_s`` includes idle gaps the busy-time ``elapsed_s``
@@ -64,14 +64,12 @@ CACHE_FACTORIES = {
     "int4": functools.partial(IntKVCache, bits=4, group_size=16),
     "mant4": functools.partial(MantKVCache, group_size=16, window=16),
 }
-BACKENDS = ["arena", "paged"]
+BACKENDS = ["paged", "chunked"]     # whole-prompt vs chunked admission
 
 
 def _config(backend, **kw):
     kw.setdefault("max_batch_size", 4)
-    if backend in ("paged", "chunked"):
-        kw.setdefault("paged", True)
-        kw.setdefault("block_tokens", 16)
+    kw.setdefault("block_tokens", 16)
     if backend == "chunked":
         kw.setdefault("prefill_chunk_tokens", 16)
         kw.setdefault("max_tokens_per_tick", 32)
@@ -288,7 +286,7 @@ class TestStatsRegistry:
             )
 
     def test_every_integer_field_is_mapped(self, model):
-        eng = make_engine(model, "arena")
+        eng = make_engine(model, "paged")
         eng.generate(requests(prompts(3)))
         stats = eng.stats()
         for f in dataclasses.fields(EngineStats):
@@ -310,7 +308,7 @@ class TestStatsRegistry:
 
     def test_fleet_merge_across_engines(self, model):
         engines = [
-            make_engine(model, "arena",
+            make_engine(model, "paged",
                         metrics=MetricsRegistry(labels={"replica": f"r{i}"}))
             for i in range(2)
         ]
@@ -356,7 +354,7 @@ class TestStatsRegistry:
 
     def test_wall_elapsed_includes_idle_gaps(self, model):
         clk = ManualClock()
-        eng = make_engine(model, "arena", clock=clk)
+        eng = make_engine(model, "paged", clock=clk)
         eng.submit(requests(prompts(1))[0])
         while eng.has_work():
             clk.advance(1.0)     # 1 s of "idle" before each tick
@@ -370,7 +368,7 @@ class TestStatsRegistry:
 
     def test_queue_latency_on_injectable_clock(self, model):
         clk = ManualClock()
-        eng = make_engine(model, "arena", clock=clk, max_batch_size=1)
+        eng = make_engine(model, "paged", clock=clk, max_batch_size=1)
         for r in requests(prompts(2, lo=4, hi=5), max_tokens=2):
             eng.submit(r)
             clk.advance(0.5)     # r1 submitted 0.5 s after r0
@@ -419,7 +417,7 @@ class TestTickTrace:
                 assert a1 <= b0, "same-depth spans overlap"
 
     def test_append_nested_in_forward(self, model):
-        eng = make_engine(model, "arena")
+        eng = make_engine(model, "paged")
         eng.generate(requests(prompts(2)))
         forwards = eng.trace.spans("forward")
         for _, t0, t1, depth, _ in eng.trace.spans("append"):
@@ -457,7 +455,7 @@ class TestTickTrace:
 
     def test_manual_trace_clock(self, model):
         clk = ManualClock()
-        eng = make_engine(model, "arena", trace_clock=clk)
+        eng = make_engine(model, "paged", trace_clock=clk)
         # Each span reads the tracer clock twice; advance between ticks.
         eng.submit(requests(prompts(1))[0])
         while eng.has_work():
@@ -495,7 +493,7 @@ class TestRequestTimelines:
 
     def test_timeout_timeline(self, model):
         clk = ManualClock()
-        eng = make_engine(model, "arena", clock=clk, max_batch_size=1)
+        eng = make_engine(model, "paged", clock=clk, max_batch_size=1)
         rs = requests(prompts(2, lo=4, hi=5), max_tokens=50)
         eng.submit(rs[0])
         eng.submit(GenerationRequest("late", rs[1].prompt, max_tokens=50,
@@ -557,7 +555,7 @@ class TestRequestTimelines:
         def bad(_event):
             raise RuntimeError("client went away")
 
-        eng = make_engine(model, "arena")
+        eng = make_engine(model, "paged")
         eng.submit(requests(prompts(1))[0], on_token=bad)
         eng.generate()
         names = eng.request_trace("r0").names()
@@ -565,7 +563,7 @@ class TestRequestTimelines:
         assert eng.result("r0").finish_reason == FINISH_ERROR
 
     def test_pop_result_evicts_timeline(self, model):
-        eng = make_engine(model, "arena")
+        eng = make_engine(model, "paged")
         handle = eng.submit(requests(prompts(1))[0])
         eng.generate()
         assert handle.trace() is not None
@@ -656,7 +654,7 @@ class TestObsReport:
         assert "request timelines" in out and "<-- fault" in out
 
     def test_report_json_output(self, model, tmp_path):
-        eng = make_engine(model, "arena")
+        eng = make_engine(model, "paged")
         eng.generate(requests(prompts(3), max_tokens=4))
         path = str(tmp_path / "trace.json")
         eng.trace.save(path)

@@ -2,14 +2,16 @@
 
 The load-bearing properties:
 
-* paged greedy decode is token-for-token identical to the
-  contiguous-arena engine for FP16/INT4/MANT4 caches (with and without
-  prefix sharing);
+* paged greedy engine decode is token-for-token identical to the
+  single-stream ``prefill`` + ``decode_step`` loop over flat caches for
+  FP16/INT4/MANT4 (with and without prefix sharing);
 * block lifecycle is leak-free: releases return every non-shared page,
   prefix-shared pages survive the donor finishing, and a recycled
   block serves a fresh sequence with no state leakage;
 * copy-on-write is a true copy: mutating a forked sequence never
   perturbs the other's cache contents or logits;
+* the pool's lease contract: only buffered caches, one geometry per
+  (layer, role), read-only views, and copies that own their storage;
 * block-aware admission admits on actually-free pages and preempts
   (recompute-on-resume) instead of wedging on pool exhaustion.
 """
@@ -21,7 +23,7 @@ import pytest
 
 from repro.model import layers as L
 from repro.model.transformer import ModelConfig, TransformerLM
-from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
+from repro.quant.kvcache import FP16KVCache, IntKVCache, KVCache, MantKVCache
 from repro.serve import (
     BlockPool,
     GenerationEngine,
@@ -31,6 +33,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve.paging import validate_block_compat
+from serve_testlib import single_stream
 
 VOCAB = 64
 
@@ -192,7 +195,7 @@ class TestBlockLifecycle:
         )
         factory = CACHE_FACTORIES["mant4"]
         eng = GenerationEngine(model, factory, ServeConfig(
-            max_batch_size=2, paged=True, block_tokens=16))
+            max_batch_size=2, block_tokens=16))
         res = eng.generate([donor, borrower])     # donor finishes first
         assert eng.pool.prefill_pages_hit == 2    # borrower reused both pages
         assert eng.pool.blocks_in_use == 0        # all refs returned at the end
@@ -206,7 +209,7 @@ class TestBlockLifecycle:
         rng = np.random.default_rng(12)
         prompt = rng.integers(0, VOCAB, size=32)
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=1, paged=True, block_tokens=16))
+            max_batch_size=1, block_tokens=16))
         eng.generate([GenerationRequest("first", prompt, max_tokens=2)])
         assert eng.pool.blocks_in_use == 0
         eng.generate([GenerationRequest("second", prompt, max_tokens=2)])
@@ -221,7 +224,7 @@ class TestBlockLifecycle:
         b = a.copy()
         b[3] = (b[3] + 1) % VOCAB
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=2, paged=True, block_tokens=16))
+            max_batch_size=2, block_tokens=16))
         eng.generate([GenerationRequest("a", a, max_tokens=2),
                       GenerationRequest("b", b, max_tokens=2)])
         assert eng.pool.prefill_pages_hit == 0
@@ -278,62 +281,114 @@ class TestBlockLifecycle:
 
 
 # ======================================================================
+# Lease contract: what the pool accepts, what its views promise
+# ======================================================================
+class TestLeaseContract:
+    def test_non_buffered_cache_rejected(self):
+        class Odd(KVCache):
+            pass
+
+        pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=4)
+        with pytest.raises(TypeError, match="pooled buffer"):
+            pool.acquire(Odd)
+
+    def test_rebind_on_live_cache_rejected(self):
+        pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=8)
+        lease = pool.acquire(FP16KVCache)
+        drive(lease.caches[0], np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="rebind"):
+            lease.caches[0].bind_buffer_factory(lambda *a: None)
+
+    def test_geometry_mismatch_rejected(self):
+        pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=8)
+        l1, l2 = pool.acquire(FP16KVCache), pool.acquire(FP16KVCache)
+        rng = np.random.default_rng(0)
+        l1.caches[0].prefill(rng.normal(size=(2, 4, 16)), rng.normal(size=(2, 4, 16)))
+        with pytest.raises(ValueError, match="geometry"):
+            l2.caches[0].prefill(rng.normal(size=(4, 4, 8)), rng.normal(size=(4, 4, 8)))
+
+    def test_views_are_read_only(self):
+        pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=8)
+        lease = pool.acquire(FP16KVCache)
+        drive(lease.caches[0], np.random.default_rng(0))
+        cache = lease.caches[0]
+        for role, view in (("k", cache.keys()), ("v", cache.values())):
+            arr = np.asarray(view)
+            assert np.shares_memory(arr, pool._slabs[(0, role)])  # zero-copy
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
+
+    def test_array_copy_owns_its_storage(self):
+        """``np.array(view, copy=True)`` must not alias the slab: the
+        block is rewritten once the lease releases it."""
+        pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=4,
+                         enable_prefix_cache=False)
+        lease = pool.acquire(FP16KVCache)
+        drive(lease.caches[0], np.random.default_rng(0), seq=12, extra=0)
+        view = lease.caches[0].keys()
+        snap = np.array(view.gather())           # reference values
+        arr = np.array(view, copy=True)
+        assert arr.flags.writeable
+        assert not any(np.shares_memory(arr, slab)
+                       for slab in pool._slabs.values())
+        lease.release()
+        reuse = pool.acquire(FP16KVCache)        # same (recycled) blocks
+        drive(reuse.caches[0], np.random.default_rng(1), seq=12, extra=0,
+              scale=5.0)
+        assert np.array_equal(arr, snap)
+
+
+# ======================================================================
 # Engine-level equivalence and block-aware scheduling
 # ======================================================================
 class TestPagedEngine:
     @pytest.mark.parametrize("cache_name", list(CACHE_FACTORIES))
-    def test_paged_engine_equals_arena_engine(self, model, cache_name):
+    def test_paged_engine_equals_single_stream(self, model, cache_name):
         """The acceptance criterion: token-for-token identical decode."""
         factory = CACHE_FACTORIES[cache_name]
         ps = prompts(6, seed=18)
-        reqs = lambda: [GenerationRequest(f"r{i}", p, max_tokens=8)
-                        for i, p in enumerate(ps)]
-        arena = GenerationEngine(model, factory, ServeConfig(max_batch_size=3))
         paged = GenerationEngine(model, factory, ServeConfig(
-            max_batch_size=3, paged=True, block_tokens=16))
-        ra, rp = arena.generate(reqs()), paged.generate(reqs())
-        for i in range(len(ps)):
-            assert ra[f"r{i}"].tokens == rp[f"r{i}"].tokens
+            max_batch_size=3, block_tokens=16))
+        rp = paged.generate([GenerationRequest(f"r{i}", p, max_tokens=8)
+                             for i, p in enumerate(ps)])
+        for i, p in enumerate(ps):
+            assert rp[f"r{i}"].tokens == single_stream(model, factory, p, 8)
 
     @pytest.mark.parametrize("cache_name", list(CACHE_FACTORIES))
-    def test_shared_prefix_engine_equals_arena(self, model, cache_name):
+    def test_shared_prefix_engine_equals_single_stream(self, model, cache_name):
         """Prefix sharing changes memory, never tokens."""
         factory = CACHE_FACTORIES[cache_name]
         rng = np.random.default_rng(19)
         system = rng.integers(0, VOCAB, size=32)
         ps = [np.concatenate([system, rng.integers(0, VOCAB, size=int(n))])
               for n in rng.integers(2, 9, size=5)]
-        reqs = lambda: [GenerationRequest(f"r{i}", p, max_tokens=6)
-                        for i, p in enumerate(ps)]
-        arena = GenerationEngine(model, factory, ServeConfig(max_batch_size=4))
         paged = GenerationEngine(model, factory, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16))
-        ra, rp = arena.generate(reqs()), paged.generate(reqs())
-        for i in range(len(ps)):
-            assert ra[f"r{i}"].tokens == rp[f"r{i}"].tokens
+            max_batch_size=4, block_tokens=16))
+        rp = paged.generate([GenerationRequest(f"r{i}", p, max_tokens=6)
+                             for i, p in enumerate(ps)])
+        for i, p in enumerate(ps):
+            assert rp[f"r{i}"].tokens == single_stream(model, factory, p, 6)
         assert paged.pool.prefill_pages_hit >= 2 * (len(ps) - 1)
         assert paged.stats().prefix_hit_tokens >= 32 * (len(ps) - 1)
 
-    def test_opt_arch_paged_equals_arena(self):
+    def test_opt_arch_paged_equals_single_stream(self):
         """Learned-position (OPT) models decode identically when paged."""
         cfg = ModelConfig(vocab_size=VOCAB, d_model=32, n_heads=2, n_layers=2,
                           d_ff=64, max_seq=128, arch="opt", seed=6)
         opt = TransformerLM(cfg)
         ps = prompts(4, seed=23)
-        reqs = lambda: [GenerationRequest(f"r{i}", p, max_tokens=6)
-                        for i, p in enumerate(ps)]
-        arena = GenerationEngine(opt, FP16KVCache, ServeConfig(max_batch_size=4))
         paged = GenerationEngine(opt, FP16KVCache, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16))
-        ra, rp = arena.generate(reqs()), paged.generate(reqs())
-        for i in range(len(ps)):
-            assert ra[f"r{i}"].tokens == rp[f"r{i}"].tokens
+            max_batch_size=4, block_tokens=16))
+        rp = paged.generate([GenerationRequest(f"r{i}", p, max_tokens=6)
+                             for i, p in enumerate(ps)])
+        for i, p in enumerate(ps):
+            assert rp[f"r{i}"].tokens == single_stream(opt, FP16KVCache, p, 6)
 
     def test_block_aware_admission_waits_for_free_pages(self, model):
         """Admission keys on actually-free blocks, not worst-case tokens."""
         ps = prompts(2, seed=20, lo=4, hi=5)      # 1 page each at bt=8
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=2, paged=True, block_tokens=8, num_blocks=1,
+            max_batch_size=2, block_tokens=8, num_blocks=1,
             enable_prefix_cache=False))
         for i, p in enumerate(ps):
             eng.submit(GenerationRequest(f"r{i}", p, max_tokens=3))
@@ -347,7 +402,7 @@ class TestPagedEngine:
 
     def test_oversized_request_rejected_and_counted(self, model):
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=1, paged=True, block_tokens=8, num_blocks=2))
+            max_batch_size=1, block_tokens=8, num_blocks=2))
         with pytest.raises(ValueError, match="num_blocks"):
             eng.submit(GenerationRequest(
                 "big", np.zeros(20, dtype=np.int64), max_tokens=10))
@@ -360,7 +415,7 @@ class TestPagedEngine:
         reqs = [GenerationRequest(f"r{i}", rng.integers(0, VOCAB, size=8),
                                   max_tokens=12) for i in range(2)]
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=2, paged=True, block_tokens=8, num_blocks=4,
+            max_batch_size=2, block_tokens=8, num_blocks=4,
             enable_prefix_cache=False))
         res = eng.generate(reqs)
         st = eng.stats()
@@ -370,7 +425,7 @@ class TestPagedEngine:
         assert eng.pool.blocks_in_use == 0
         # Deterministic under identical pressure.
         eng2 = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=2, paged=True, block_tokens=8, num_blocks=4,
+            max_batch_size=2, block_tokens=8, num_blocks=4,
             enable_prefix_cache=False))
         res2 = eng2.generate([GenerationRequest(f"r{i}", r.prompt, max_tokens=12)
                               for i, r in enumerate(reqs)])
@@ -379,7 +434,7 @@ class TestPagedEngine:
     def test_incompatible_block_size_rejected_at_engine_init(self, model):
         with pytest.raises(ValueError, match="multiple of the MANT"):
             GenerationEngine(model, CACHE_FACTORIES["mant4"], ServeConfig(
-                paged=True, block_tokens=24))
+                block_tokens=24))
 
     def test_append_batch_fusion_preserved_under_paging(self, model):
         """PagedKVCache.append_batch must dispatch the inner fused path."""
@@ -407,10 +462,6 @@ class TestPagedEngine:
 # Config validation (satellite)
 # ======================================================================
 class TestServeConfigValidation:
-    def test_zero_initial_cache_capacity_rejected(self):
-        with pytest.raises(ValueError, match="initial_cache_capacity"):
-            ServeConfig(initial_cache_capacity=0)
-
     @pytest.mark.parametrize("kwargs", [
         {"block_tokens": 0},
         {"num_blocks": 0},
@@ -421,6 +472,6 @@ class TestServeConfigValidation:
             ServeConfig(**kwargs)
 
     def test_valid_paging_config_accepted(self):
-        cfg = ServeConfig(paged=True, block_tokens=16, num_blocks=32,
+        cfg = ServeConfig(block_tokens=16, num_blocks=32,
                           enable_prefix_cache=False, max_queue_len=100)
-        assert cfg.paged and cfg.block_tokens == 16
+        assert cfg.block_tokens == 16 and cfg.num_blocks == 32

@@ -6,17 +6,18 @@ Gates, per the PR acceptance criteria:
   with starvation-free aging;
 * policy-aware preemption victim selection;
 * cancellation in all three states — queued, mid-chunked-prefill,
-  mid-decode — under both storage backends, with storage fully
-  released and innocent bystanders' greedy output unchanged;
+  mid-decode — with storage fully released and innocent bystanders'
+  greedy output unchanged;
 * n>1 parallel-sampling determinism: per-sample streams derived from
   ``(seed, sample_index)``, invariant to batch composition and to the
-  storage backend (paged ``PagedLease.fork`` vs arena prefill replay);
-* the v2 config surface (presets, ``scheduler_policy`` validation, the
-  deprecated ``repro.serve.scheduler.ServeConfig`` alias), submit-time
-  request validation, ``RequestHandle`` and the new ``EngineStats``
-  fields.
+  admission mode (whole-prompt vs chunked prefill), with every extra
+  sample forked copy-on-write (``PagedLease.fork``);
+* the v2 config surface (the chunked preset, ``scheduler_policy``
+  validation), submit-time request validation, ``RequestHandle`` and
+  the new ``EngineStats`` fields.
 """
 
+import dataclasses
 import functools
 import itertools
 
@@ -93,12 +94,12 @@ def first_token_order(engine):
 # ======================================================================
 class TestServeConfigV2:
     def test_presets(self):
-        arena = ServeConfig.arena(max_batch_size=4)
-        assert arena.paged is False and arena.max_batch_size == 4
-        paged = ServeConfig.paged(block_tokens=16)
-        assert paged.paged is True and paged.block_tokens == 16
+        # One storage backend: no backend switch, no backend presets.
+        names = {f.name for f in dataclasses.fields(ServeConfig)}
+        assert not names & {"paged", "initial_cache_capacity"}
+        assert not hasattr(ServeConfig, "arena")
+        assert not hasattr(ServeConfig, "paged")
         chunked = ServeConfig.chunked()
-        assert chunked.paged is True
         assert chunked.prefill_chunk_tokens == chunked.block_tokens
         assert chunked.max_tokens_per_tick == 2 * chunked.prefill_chunk_tokens
 
@@ -108,26 +109,14 @@ class TestServeConfigV2:
         assert cfg.scheduler_policy == "priority"
 
     def test_with_policy(self):
-        cfg = ServeConfig.paged().with_policy("deadline")
-        assert cfg.scheduler_policy == "deadline" and cfg.paged is True
+        cfg = ServeConfig(block_tokens=16).with_policy("deadline")
+        assert cfg.scheduler_policy == "deadline" and cfg.block_tokens == 16
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="scheduler_policy"):
             ServeConfig(scheduler_policy="sjf")
         with pytest.raises(ValueError, match="scheduler_policy"):
             get_policy("sjf")
-
-    def test_field_still_reads_through_preset_name(self):
-        # The classmethod and the dataclass field share the name 'paged';
-        # instances must read the field, the class the preset.
-        assert ServeConfig().paged is False
-        assert callable(ServeConfig.paged)
-
-    def test_scheduler_reexport_deprecated(self):
-        import repro.serve.scheduler as sched
-        with pytest.warns(DeprecationWarning, match="repro.serve.config"):
-            cfg_cls = sched.ServeConfig
-        assert cfg_cls is ServeConfig
 
     def test_consolidated_validation_still_rejects(self):
         with pytest.raises(ValueError, match="max_batch_size"):
@@ -210,7 +199,7 @@ class TestPriorityPolicy:
         priority policy must pick the low-priority victim instead.
         """
         rng = np.random.default_rng(11)
-        cfg = ServeConfig(max_batch_size=2, paged=True, block_tokens=8,
+        cfg = ServeConfig(max_batch_size=2, block_tokens=8,
                           num_blocks=4, enable_prefix_cache=False,
                           scheduler_policy="priority")
         eng = GenerationEngine(model, FP16KVCache, cfg)
@@ -313,8 +302,7 @@ class TestFCFSDefault:
 # Cancellation lifecycle
 # ======================================================================
 BACKEND_CONFIGS = {
-    "arena": lambda: ServeConfig(max_batch_size=2),
-    "paged": lambda: ServeConfig(max_batch_size=2, paged=True, block_tokens=16),
+    "paged": lambda: ServeConfig(max_batch_size=2, block_tokens=16),
 }
 
 
@@ -356,11 +344,8 @@ class TestCancellation:
             eng.step()                   # both mid-decode
         assert eng.cancel("r1") is True
         # Storage released immediately (cancel outside a tick).
-        if eng.pool is not None:
-            held = len(eng.scheduler.running[0].lease.table.blocks)
-            assert eng.pool.blocks_in_use == held
-        else:
-            assert eng.arena.slots_in_use == 1
+        held = len(eng.scheduler.running[0].lease.table.blocks)
+        assert eng.pool.blocks_in_use == held
         res = eng.result("r1")
         assert res.finish_reason == FINISH_CANCELLED
         assert 0 < len(res.tokens) < 10   # stopped mid-flight
@@ -371,9 +356,8 @@ class TestCancellation:
 
     @pytest.mark.parametrize("backend", list(BACKEND_CONFIGS))
     def test_cancel_mid_chunked_prefill(self, model, backend):
-        cfg = BACKEND_CONFIGS[backend]()
-        cfg = ServeConfig(
-            max_batch_size=2, paged=cfg.paged, block_tokens=16,
+        cfg = dataclasses.replace(
+            BACKEND_CONFIGS[backend](),
             prefill_chunk_tokens=16, max_tokens_per_tick=16,
         )
         rng = np.random.default_rng(12)
@@ -418,7 +402,7 @@ class TestCancellation:
         assert eng.result("victim").finish_reason == FINISH_CANCELLED
         assert eng.result("other").tokens == single_stream(
             model, FP16KVCache, ps[1], 10)
-        assert eng.arena.slots_in_use == 0
+        assert_storage_baseline(eng)
 
     def test_cancel_twice_from_callback_is_idempotent(self, model):
         """A reentrant double-cancel must count (and report) once."""
@@ -442,7 +426,7 @@ class TestCancellation:
         whole request before any sibling lease is forked."""
         p = prompts(1, seed=41, lo=8, hi=10)[0]
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16))
+            max_batch_size=4, block_tokens=16))
         eng.submit(GenerationRequest("r", p, max_tokens=8, n=3),
                    on_token=lambda ev: eng.cancel("r"))
         eng.generate()
@@ -504,7 +488,7 @@ class TestParallelSampling:
         factory = CACHE_FACTORIES[cache_name]
         p = prompts(1, seed=18, lo=8, hi=12)[0]
         eng = GenerationEngine(model, factory, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16))
+            max_batch_size=4, block_tokens=16))
         res = eng.generate([GenerationRequest("r", p, max_tokens=8, n=3)])["r"]
         ref = single_stream(model, factory, p, 8)
         assert res.n_samples == 3
@@ -517,13 +501,10 @@ class TestParallelSampling:
     def test_fork_prefills_once(self, model):
         p = prompts(1, seed=19, lo=10, hi=12)[0]
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16))
+            max_batch_size=4, block_tokens=16))
         eng.generate([GenerationRequest("r", p, max_tokens=4, n=4)])
         assert eng.stats().prefill_tokens == p.size   # shared prefill
-        # Arena fallback replays per extra sample.
-        eng2 = GenerationEngine(model, FP16KVCache, ServeConfig(max_batch_size=4))
-        eng2.generate([GenerationRequest("r", p, max_tokens=4, n=4)])
-        assert eng2.stats().prefill_tokens == 4 * p.size
+        assert eng.pool.forks == 3
 
     def test_seeded_samples_distinct_and_deterministic(self, model):
         p = prompts(1, seed=20, lo=10, hi=12)[0]
@@ -535,7 +516,7 @@ class TestParallelSampling:
             reqs += list(extra)
             return eng.generate(reqs)["r"]
 
-        paged = ServeConfig(max_batch_size=6, paged=True, block_tokens=16)
+        paged = ServeConfig(max_batch_size=6, block_tokens=16)
         alone = run(paged)
         streams = [s.tokens for s in alone.samples]
         assert len({tuple(t) for t in streams}) > 1   # samples truly differ
@@ -546,14 +527,14 @@ class TestParallelSampling:
         busy = run(paged, extra=others)
         assert [s.tokens for s in busy.samples] == streams
 
-        # ... and to the storage backend (arena replays the prefill).
-        arena = run(ServeConfig(max_batch_size=6))
-        assert [s.tokens for s in arena.samples] == streams
+        # ... and to the admission mode (chunked prefill, then fork).
+        chunked = run(dataclasses.replace(paged, prefill_chunk_tokens=16))
+        assert [s.tokens for s in chunked.samples] == streams
 
     def test_sample0_identical_to_n1_run(self, model):
         p = prompts(1, seed=22, lo=10, hi=12)[0]
         sp = SamplingParams(temperature=0.7, seed=9)
-        cfg = ServeConfig(max_batch_size=4, paged=True, block_tokens=16)
+        cfg = ServeConfig(max_batch_size=4, block_tokens=16)
         eng1 = GenerationEngine(model, FP16KVCache, cfg)
         solo = eng1.generate([GenerationRequest("r", p, max_tokens=8,
                                                 sampling=sp)])["r"]
@@ -565,7 +546,7 @@ class TestParallelSampling:
     def test_events_carry_sample_index(self, model):
         p = prompts(1, seed=23, lo=8, hi=10)[0]
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16))
+            max_batch_size=4, block_tokens=16))
         seen = set()
         eng.submit(GenerationRequest("r", p, max_tokens=3, n=3),
                    on_token=lambda ev: seen.add(ev.sample))
@@ -576,7 +557,7 @@ class TestParallelSampling:
         """A second request must wait until the family frees lanes."""
         ps = prompts(2, seed=24, lo=8, hi=10)
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=3, paged=True, block_tokens=16))
+            max_batch_size=3, block_tokens=16))
         eng.submit(GenerationRequest("fam", ps[0], max_tokens=6, n=3))
         eng.submit(GenerationRequest("solo", ps[1], max_tokens=6))
         eng.step()
@@ -589,7 +570,7 @@ class TestParallelSampling:
     def test_cancel_cancels_every_sample(self, model):
         p = prompts(1, seed=25, lo=8, hi=10)[0]
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16))
+            max_batch_size=4, block_tokens=16))
         h = eng.submit(GenerationRequest("r", p, max_tokens=12, n=3))
         for _ in range(3):
             eng.step()
@@ -606,7 +587,7 @@ class TestParallelSampling:
         rng = np.random.default_rng(42)
         p = rng.integers(0, VOCAB, size=64)     # 4 pages of 16
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(
-            max_batch_size=4, paged=True, block_tokens=16, num_blocks=10,
+            max_batch_size=4, block_tokens=16, num_blocks=10,
             enable_prefix_cache=False))
         # Old n-times-footprint check: 4 * ceil(72/16) = 20 > 10 pages.
         res = eng.generate([GenerationRequest("r", p, max_tokens=8, n=4)])["r"]
@@ -614,19 +595,20 @@ class TestParallelSampling:
         assert [s.tokens for s in res.samples] == [ref] * 4
         assert eng.pool.blocks_in_use == 0
 
-    def test_arena_n_greedy_matches_single_stream(self, model):
+    def test_default_config_n_greedy_matches_single_stream(self, model):
         p = prompts(1, seed=26, lo=8, hi=12)[0]
         eng = GenerationEngine(model, FP16KVCache, ServeConfig(max_batch_size=4))
         res = eng.generate([GenerationRequest("r", p, max_tokens=8, n=3)])["r"]
         ref = single_stream(model, FP16KVCache, p, 8)
         assert [s.tokens for s in res.samples] == [ref, ref, ref]
-        assert eng.arena.slots_in_use == 0
+        assert eng.pool.forks == 2
+        assert_storage_baseline(eng)
 
     def test_chunked_n_fork_after_chunked_prefill(self, model):
         """n>1 composes with the mixed tick: fork fires on final chunk."""
         rng = np.random.default_rng(27)
         p = rng.integers(0, VOCAB, size=48)
-        cfg = ServeConfig(max_batch_size=4, paged=True, block_tokens=16,
+        cfg = ServeConfig(max_batch_size=4, block_tokens=16,
                           prefill_chunk_tokens=16, max_tokens_per_tick=32)
         eng = GenerationEngine(model, FP16KVCache, cfg)
         res = eng.generate([GenerationRequest("r", p, max_tokens=6, n=3)])["r"]

@@ -150,10 +150,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ServeConfig(max_tokens_in_flight=0)
 
-    def test_zero_initial_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ServeConfig(initial_cache_capacity=0)
-
     def test_zero_queue_len_rejected(self):
         with pytest.raises(ValueError):
             ServeConfig(max_queue_len=0)

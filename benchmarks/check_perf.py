@@ -58,7 +58,7 @@ from bench_policy_scheduling import (
     high_priority_ttft_gain,
     policy_config,
 )
-from bench_paged_kv import paged_config, prefix_reuse
+from bench_paged_kv import prefix_reuse
 from bench_serve_throughput import CACHE_FACTORIES, make_requests, run_workload
 from legacy_impl import LegacyListKVCache, LegacyMantCodec, LegacyMseSearchSelector
 
@@ -155,10 +155,12 @@ def build_suite():
         requests = make_requests(serve_model.config.vocab_size, n_requests=8)
         return run_workload(serve_model, FP16KVCache, requests, max_batch=8)
 
-    def serve_paged_workload():
+    def serve_mant_workload():
+        # The W4A8KV4-style cache on the default engine: every tick's
+        # K/V writes go through the pooled MANT write_layer.
         requests = make_requests(serve_model.config.vocab_size, n_requests=8)
-        return run_workload(serve_model, FP16KVCache, requests, max_batch=8,
-                            config=paged_config())
+        return run_workload(serve_model, CACHE_FACTORIES["mant4"], requests,
+                            max_batch=8)
 
     def serve_chunked_workload():
         requests = make_requests(serve_model.config.vocab_size, n_requests=8)
@@ -196,7 +198,7 @@ def build_suite():
         "variance_select_batch": lambda: var_selector.select_batch(groups),
         "kv_decode_256_tokens": decode_step_cost,
         "serve_fp16_batch8": serve_workload,
-        "serve_paged_batch8": serve_paged_workload,
+        "serve_mant_batch8": serve_mant_workload,
         "serve_chunked_batch8": serve_chunked_workload,
         "serve_policy_batch8": serve_policy_workload,
         "serve_fault_batch8": serve_fault_workload,

@@ -39,6 +39,14 @@ codes; reconstruction differs only on boundary-adjacent values):
 
 The decode path is cheap and is what the fused kernel in
 :mod:`repro.core.fused` folds into the GEMM.
+
+Fake quantization (:meth:`MantCodec.qdq`, the real-time KV cache's
+codec) never materializes codes: every stacked table also carries the
+*level value* each merged-ladder position decodes to in each grid
+(``pos_value``, the same float expression :meth:`MantCodec.decode`
+evaluates), so a qdq is ladder positions → one level gather → × the
+group's fp16 scale, byte-equal to ``decode(encode(w, a))`` — the
+software image of a decoder that is a level lookup fused into compute.
 """
 
 from __future__ import annotations
@@ -125,7 +133,8 @@ class _StackedTables:
     ladder (one ``searchsorted`` for the whole tensor, regardless of how
     many grids are mixed) determines its code in *every* grid at once:
     ``code_table[u, p]`` is the grid index, ``pos_sign``/``pos_magnitude``
-    the sign-magnitude code, for grid ``u``.  ``grid_sign`` /
+    the sign-magnitude code and ``pos_value`` the decoded (unscaled)
+    level, for grid ``u``.  ``grid_sign`` /
     ``grid_magnitude`` map per-grid *indices* (rather than merged
     positions) to codes, padded to a common width, for rebuilding an
     encoding from stored indices.
@@ -135,6 +144,7 @@ class _StackedTables:
     code_table: np.ndarray         # (n_grids, B+1) intp
     pos_sign: np.ndarray           # (n_grids, B+1) int8
     pos_magnitude: np.ndarray      # (n_grids, B+1) uint8
+    pos_value: np.ndarray          # (n_grids, B+1) float64
     grid_sign: np.ndarray          # (n_grids, max_levels) int8
     grid_magnitude: np.ndarray     # (n_grids, max_levels) uint8
     grid_max: np.ndarray           # (n_grids,) float64
@@ -146,8 +156,24 @@ class _StackedTables:
 
 
 # The paper's 16-type search space: 15 coefficients + INT (the same set
-# for every supported bit width).
-_CANONICAL_CANDIDATES = tuple(float(a) for a in MANT_WEIGHT_A_SET) + (float(INT_A),)
+# for every supported bit width), ascending — the codec's canonical
+# stacked table is built in this order, so a coefficient's grid id is
+# its ``searchsorted`` rank.
+_CANONICAL_SORTED = tuple(sorted(float(a) for a in (*MANT_WEIGHT_A_SET, INT_A)))
+_CANONICAL_ARRAY = np.asarray(_CANONICAL_SORTED)
+
+
+def _level_values(a, sign: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """Unscaled values of sign-magnitude codes under coefficient ``a``:
+    ``±(a·i + 2^i)`` for MANT, ``±i`` for INT.  The one place the
+    decode expression lives, shared by :meth:`MantCodec.decode` and the
+    ``pos_value`` tables, which is what keeps ``qdq`` byte-equal to
+    ``decode(encode())``."""
+    mag = magnitude.astype(np.float64)
+    sgn = sign.astype(np.float64)
+    mant_vals = sgn * (a * mag + 2.0**mag)
+    int_vals = sgn * mag
+    return np.where(a == INT_A, int_vals, mant_vals)
 
 
 # The stacked tables and ladders below are keyed by coefficient tuples.
@@ -171,6 +197,7 @@ def _stacked_tables(a_tuple: tuple, bits: int) -> _StackedTables:
     code_table = np.zeros((n, B + 1), dtype=np.intp)
     pos_sign = np.empty((n, B + 1), dtype=np.int8)
     pos_magnitude = np.empty((n, B + 1), dtype=np.uint8)
+    pos_value = np.empty((n, B + 1))
     grid_sign = np.empty((n, lmax), dtype=np.int8)
     grid_magnitude = np.empty((n, lmax), dtype=np.uint8)
     gmax = np.empty(n)
@@ -181,6 +208,7 @@ def _stacked_tables(a_tuple: tuple, bits: int) -> _StackedTables:
         code_table[u, 1:] = np.searchsorted(t.boundaries_norm, merged, side="right")
         pos_sign[u] = t.sign[code_table[u]]
         pos_magnitude[u] = t.magnitude[code_table[u]]
+        pos_value[u] = _level_values(t.a, pos_sign[u], pos_magnitude[u])
         # Index-level LUTs padded by repeating the top level.
         grid_sign[u, :k] = t.sign
         grid_sign[u, k:] = t.sign[-1]
@@ -192,6 +220,7 @@ def _stacked_tables(a_tuple: tuple, bits: int) -> _StackedTables:
         code_table=code_table,
         pos_sign=pos_sign,
         pos_magnitude=pos_magnitude,
+        pos_value=pos_value,
         grid_sign=grid_sign,
         grid_magnitude=grid_magnitude,
         grid_max=gmax,
@@ -353,25 +382,25 @@ class MantCodec:
     def _resolve_grids(self, a_per_group: np.ndarray):
         """Map per-group coefficients to stacked-table grid ids.
 
-        Coefficient sets inside the canonical 16-type search space share
-        that one cached table (code counts are identical under the finer
-        merged ladder); only exotic sets build their own, LRU-bounded.
+        Coefficients inside the canonical 16-type search space (the
+        serving path's only case) resolve by one ``searchsorted`` against
+        the ascending canonical set and share its one cached table —
+        code counts are identical under the finer merged ladder.  Only
+        exotic sets pay a ``np.unique`` and build their own table,
+        LRU-bounded.
         """
+        a0 = a_per_group.flat[0] if a_per_group.size else 0.0
+        if (a_per_group == a0).all():
+            # One coefficient (a uniform encode): its one-grid table keeps
+            # the coarser ladder and the single-row gather.
+            gid = np.zeros(a_per_group.shape, dtype=np.intp)
+            return _stacked_tables((float(a0),), self.bits), gid
+        gid = np.searchsorted(_CANONICAL_ARRAY, a_per_group)
+        if (_CANONICAL_ARRAY.take(gid, mode="clip") == a_per_group).all():
+            return _stacked_tables(_CANONICAL_SORTED, self.bits), gid
         uniq, inv = np.unique(a_per_group.ravel(), return_inverse=True)
-        canon = _CANONICAL_CANDIDATES
-        if uniq.size > 1 and set(uniq.tolist()) <= set(canon):
-            # Mixed canonical coefficients: share the one canonical
-            # table rather than minting a cache entry per subset.
-            st = _stacked_tables(canon, self.bits)
-            index = {a: i for i, a in enumerate(canon)}
-            remap = np.asarray([index[a] for a in uniq.tolist()], dtype=np.intp)
-            gid = remap[inv].reshape(a_per_group.shape)
-        else:
-            # Single coefficient (key space = distinct a values, small)
-            # or an exotic set: per-set tables, LRU-bounded.
-            st = _stacked_tables(tuple(float(a) for a in uniq), self.bits)
-            gid = inv.reshape(a_per_group.shape).astype(np.intp)
-        return st, gid
+        st = _stacked_tables(tuple(float(a) for a in uniq), self.bits)
+        return st, inv.reshape(a_per_group.shape).astype(np.intp)
 
     @staticmethod
     def _flat_gather(table_rows: np.ndarray, row_sel, col_idx: np.ndarray):
@@ -387,6 +416,31 @@ class MantCodec:
         return table_rows.ravel().take(lin)
 
     # ------------------------------------------------------------------
+    def _locate(self, w: np.ndarray, a_per_group: np.ndarray):
+        """The search half of :meth:`encode` / :meth:`qdq`: group ``w``,
+        resolve the grids, and place every value on the merged ladder.
+
+        One bucketized lookup against the merged boundary ladder locates
+        every value in every selected grid simultaneously; the per-group
+        grid choice is then a LUT gather by ``(gid, pos)`` — no Python
+        loop over coefficient buckets.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim != 2:
+            raise ValueError(f"MantCodec expects 2-D weights, got {w.shape}")
+        view = to_groups(w, self.group_size, axis=-1)
+        groups = view.groups  # (rows, n_groups, g)
+        a_per_group = np.asarray(a_per_group, dtype=np.float64)
+        if a_per_group.shape != groups.shape[:2]:
+            raise ValueError(
+                f"a_per_group shape {a_per_group.shape} != {groups.shape[:2]}"
+            )
+        st, gid = self._resolve_grids(a_per_group)
+        amax = _group_absmax(groups)
+        pos = st.ladder.positions(groups / amax[..., None])
+        scale = self._round_scale(amax / st.grid_max[gid])
+        return view, a_per_group, st, gid, pos, scale
+
     def encode(self, w: np.ndarray, a_per_group: np.ndarray) -> MantEncoded:
         """Encode ``w`` with the given per-group coefficients.
 
@@ -395,29 +449,9 @@ class MantCodec:
         Coefficient selection itself lives in
         :mod:`repro.core.selection`; this method only applies it.
         """
-        w = np.asarray(w, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError(f"MantCodec.encode expects 2-D weights, got {w.shape}")
-        view = to_groups(w, self.group_size, axis=-1)
-        groups = view.groups  # (rows, n_groups, g)
-        rows, n_groups, g = groups.shape
-        a_per_group = np.asarray(a_per_group, dtype=np.float64)
-        if a_per_group.shape != (rows, n_groups):
-            raise ValueError(
-                f"a_per_group shape {a_per_group.shape} != {(rows, n_groups)}"
-            )
-
-        st, gid = self._resolve_grids(a_per_group)
-        amax = _group_absmax(groups)
-        vnorm = groups / amax[..., None]
-        # One bucketized lookup against the merged boundary ladder
-        # locates every value in every selected grid simultaneously; the
-        # per-group grid choice is then two LUT gathers — no Python loop
-        # over coefficient buckets.
-        pos = st.ladder.positions(vnorm)
+        view, a_per_group, st, gid, pos, scale = self._locate(w, a_per_group)
         sign = self._flat_gather(st.pos_sign, gid, pos)
         magnitude = self._flat_gather(st.pos_magnitude, gid, pos)
-        scale = self._round_scale(amax / st.grid_max[gid])
         # Freshly allocated here — freeze now so MantEncoded skips its
         # defensive copy (reserved for caller-supplied arrays).
         for arr in (sign, magnitude, scale):
@@ -430,7 +464,7 @@ class MantCodec:
             a_coeff=a_per_group,  # __post_init__ copies and freezes
             bits=self.bits,
             group_size=self.group_size,
-            original_shape=w.shape,
+            original_shape=view.original_shape,
             pad=view.pad,
         )
 
@@ -477,13 +511,7 @@ class MantCodec:
     # ------------------------------------------------------------------
     def decode(self, enc: MantEncoded) -> np.ndarray:
         """Dequantize back to float, undoing grouping and padding."""
-        mag = enc.magnitude.astype(np.float64)
-        sgn = enc.sign.astype(np.float64)
-        a = enc.a_coeff[..., None]
-        # MANT groups: ±(a·i + 2^i); INT groups: ±i.
-        mant_vals = sgn * (a * mag + 2.0**mag)
-        int_vals = sgn * mag
-        vals = np.where(a == INT_A, int_vals, mant_vals)
+        vals = _level_values(enc.a_coeff[..., None], enc.sign, enc.magnitude)
         vals = vals * enc.scale[..., None]
         # Rebuild the group view metadata directly — encode only accepts
         # 2-D weights grouped along the last axis, so no throwaway
@@ -498,5 +526,15 @@ class MantCodec:
 
     # ------------------------------------------------------------------
     def qdq(self, w: np.ndarray, a_per_group: np.ndarray) -> np.ndarray:
-        """Encode-then-decode (fake quantization)."""
-        return self.decode(self.encode(w, a_per_group))
+        """Encode-then-decode (fake quantization) as one level gather.
+
+        Byte-equal to ``decode(encode(w, a_per_group))``: the same ladder
+        positions select ``pos_value`` — the level ``decode`` would
+        compute from the gathered sign-magnitude code — and the same
+        fp16 scale multiplies it, but no codes or :class:`MantEncoded`
+        are built.
+        """
+        view, _, st, gid, pos, scale = self._locate(w, a_per_group)
+        vals = self._flat_gather(st.pos_value, gid, pos)
+        vals *= scale[..., None]
+        return from_groups(view, vals)

@@ -441,11 +441,13 @@ class VarianceSelector:
 
         The decision is fully determined by the sorted coefficient array
         and its variance thresholds, so distinct instances (e.g. one per
-        pooled KV cache) compare equal if those match — which is what
-        lets the caches' fused batch append share one selection call.
+        pooled KV cache) compare equal if those match byte for byte —
+        which is what lets the caches' pooled KV write share one
+        selection call.  (Comparing raw bytes is several times cheaper
+        than ``np.array_equal`` and it runs per cache per layer.)
         """
         return self is other or (
             isinstance(other, VarianceSelector)
-            and np.array_equal(self._sorted_a, other._sorted_a)
-            and np.array_equal(self._thresholds, other._thresholds)
+            and self._sorted_a.tobytes() == other._sorted_a.tobytes()
+            and self._thresholds.tobytes() == other._thresholds.tobytes()
         )

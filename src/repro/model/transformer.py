@@ -456,9 +456,11 @@ class TransformerLM:
         for the whole tick, while RoPE gathers each token's own
         rotation row and attention walks each segment's own cache at
         its ragged position through the
-        :func:`~repro.model.layers.cached_attention_fwd` seam.  Decode
-        rows fuse their cache appends into one ``append_batch``; chunk
-        segments extend their caches with ``prefill_chunk``.  Every
+        :func:`~repro.model.layers.cached_attention_fwd` seam.  Each
+        layer's cache writes — decode rows appended, chunk segments
+        extended as ``prefill_chunk`` — are one
+        :meth:`~repro.quant.kvcache.KVCache.write_layer` call, which
+        quantized caches pool into one K and one V quantize.  Every
         segment is validated before any cache is written.  ``trace`` is
         :meth:`decode_step_batch`'s span factory.
 
@@ -524,18 +526,17 @@ class TransformerLM:
             qh, kh, vh = (_split_heads(a, cfg.n_heads)[0] for a in (qp, kp, vp))
             qh, kh = self._rope(L.apply_rope_ragged, qh, kh, positions)  # (H, T, dh)
             with _NULL_CTX if trace is None else trace("append"):
-                if decode:
-                    layer_caches = [seg.caches[i] for seg in decode]
-                    type(layer_caches[0]).append_batch(
-                        layer_caches,
-                        kh[:, rows, :].transpose(1, 0, 2),
-                        vh[:, rows, :].transpose(1, 0, 2),
-                    )
-                for seg, s, e in chunks:
-                    seg.caches[i].prefill_chunk(
-                        kh[:, s:e, :], vh[:, s:e, :],
-                        final=seg.kind == MixedSegment.CHUNK_FINAL,
-                    )
+                layer_caches = [seg.caches[i] for seg in decode]
+                writes = [(seg.caches[i], kh[:, s:e, :], vh[:, s:e, :],
+                           seg.kind == MixedSegment.CHUNK_FINAL)
+                          for seg, s, e in chunks]
+                first = layer_caches[0] if layer_caches else writes[0][0]
+                type(first).write_layer(
+                    layer_caches,
+                    kh[:, rows, :].transpose(1, 0, 2),
+                    vh[:, rows, :].transpose(1, 0, 2),
+                    writes,
+                )
             att = [
                 L.cached_attention_fwd(qh[:, s:e, :], seg.caches[i].keys(),
                                        seg.caches[i].values(), offset=seg.offset)

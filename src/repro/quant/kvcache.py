@@ -18,6 +18,18 @@ values of exactly the precision the hardware would see, which is what
 accuracy experiments need.  The cycle-level behaviour of the same scheme
 is modelled in :mod:`repro.hardware.rqu`.
 
+Writes are pooled per layer: the model hands each layer's whole tick —
+one token for every decoding sequence plus every prompt chunk — to one
+:meth:`KVCache.write_layer` call.  :class:`MantKVCache` answers it with
+one K quantize (every row written) and one V quantize (every window
+completing: full prompt windows and staging windows closed by this
+tick's tokens, each group with its own ``a``), each a single
+:meth:`~repro.core.codec.MantCodec.qdq` level gather.  Quantization
+groups are row-independent, so the pooled result is byte-equal to
+per-cache writes; the per-cache streaming state and storage writes keep
+the per-cache order.  ``prefill``, ``prefill_chunk``, ``append`` and
+``append_batch`` are that same writer with one segment.
+
 Storage is a preallocated ``(heads, capacity, d_head)`` buffer per
 tensor with amortized doubling (Anda-style grouped layout): appends are
 O(1) amortized and ``keys()``/``values()`` return zero-copy views, so a
@@ -181,6 +193,24 @@ class KVCache:
         """
         for cache, k_t, v_t in zip(caches, k_batch, v_batch):
             cache.append(k_t, v_t)
+
+    @classmethod
+    def write_layer(cls, decode_caches: list, k_dec, v_dec, chunks: list) -> None:
+        """Write one layer's K/V for a whole forward tick.
+
+        ``decode_caches`` each take one token (``k_dec``/``v_dec`` are
+        ``(B, n_heads, d_head)``, row ``b`` for cache ``b``); ``chunks``
+        is a list of ``(cache, k, v, final)`` prompt chunks
+        (``(n_heads, t, d_head)``) fed as :meth:`prefill_chunk`.  The
+        default is exactly that: the decode rows' :meth:`append_batch`,
+        then each chunk's :meth:`prefill_chunk`, in order.  Quantized
+        subclasses pool the quantization math across every write of the
+        layer; per-cache state and storage writes keep this order.
+        """
+        if decode_caches:
+            type(decode_caches[0]).append_batch(decode_caches, k_dec, v_dec)
+        for cache, k, v, final in chunks:
+            cache.prefill_chunk(k, v, final=final)
 
     def keys(self) -> np.ndarray:
         raise NotImplementedError
@@ -361,6 +391,11 @@ class IntKVCache(_BufferedKVCache):
             c._v.append(vq[b])
 
 
+def _fp16_scale(ch_max: np.ndarray, itype: IntType) -> np.ndarray:
+    """Channel staging scales ``ch_max / qmax``, stored as fp16 (Fig. 8)."""
+    return (ch_max / itype.qmax).astype(np.float16).astype(np.float64)
+
+
 class MantKVCache(_BufferedKVCache):
     """MANT real-time KV cache: spatial K + two-phase temporal V.
 
@@ -369,6 +404,10 @@ class MantKVCache(_BufferedKVCache):
     and the INT8-staged suffix behind it; closing a window re-quantizes
     the staged region *in place*, so ``values()`` is always one
     zero-copy view regardless of staging state.
+
+    Every write — :meth:`prefill`, :meth:`prefill_chunk`, :meth:`append`
+    and :meth:`append_batch` — is one :meth:`write_layer` call, the
+    single write path.
 
     Parameters
     ----------
@@ -421,84 +460,58 @@ class MantKVCache(_BufferedKVCache):
         a = self.selector.select_batch(to_groups(flat, g, axis=-1).groups)
         return codec.qdq(flat, a).reshape(x.shape)
 
-    # ------------------------------------------------------------------
-    # K cache — spatial quantization
-    # ------------------------------------------------------------------
-    def _quantize_k(self, k: np.ndarray) -> np.ndarray:
-        return self._mant_qdq_lastaxis(k)
+    def _pools_with(self, other) -> bool:
+        """True when ``other``'s writes can share this cache's
+        quantization calls (same class, policy and geometry knobs)."""
+        return other is self or (
+            type(other) is type(self)
+            and other.selector.same_policy(self.selector)
+            and other.bits == self.bits
+            and other.group_size == self.group_size
+            and other.window == self.window
+            and other.staging_bits == self.staging_bits
+        )
 
     # ------------------------------------------------------------------
-    # V cache — temporal two-phase quantization
+    # V cache — temporal two-phase quantization state
     # ------------------------------------------------------------------
     def _reset_window(self, heads: int, d_head: int) -> None:
         self._acc_sum = np.zeros((heads, d_head))
         self._acc_sqsum = np.zeros((heads, d_head))
         self._acc_max = np.zeros((heads, d_head))
 
-    def _finalize_window(self) -> None:
-        """Phase 2 of Fig. 8: staged INT8 window → 4-bit MANT, in place."""
-        staged = self._v.tail(self.window)           # (heads, window, d_head)
-        heads, t, d_head = staged.shape
-        # Group = one channel across the window (the V inner dimension).
-        per_channel = np.moveaxis(staged, 1, -1)     # (heads, d_head, t)
-        n = float(t)
-        mean = self._acc_sum / n
-        var = self._acc_sqsum / n - mean * mean
-        amax = np.where(self._acc_max <= 0, 1.0, self._acc_max)
-        norm_var = np.clip(var, 0.0, None) / (amax * amax)
-        a_sel = self.selector.select_from_variances(norm_var)  # (heads, d_head)
-        codec = self._codec_for(t)
-        flat = per_channel.reshape(-1, t)
-        out = codec.qdq(flat, a_sel.reshape(-1, 1))
-        staged[:] = np.moveaxis(out.reshape(heads, d_head, t), -1, 1)
-        self._v_final += self.window
-        self._reset_window(heads, d_head)
-
-    def _quantize_v_windows(self, body: np.ndarray) -> np.ndarray:
-        """Quantize ``(heads, n·window, d_head)`` straight to 4-bit MANT.
-
-        Both inner-dimension data are available for full windows, so
-        they skip INT8 staging entirely (phase 1+2 of Fig. 8 collapse).
-        Each window is quantized independently, which is what makes the
-        result invariant to how a prompt is split into window-aligned
-        prefill chunks.
-        """
-        heads, full, d_head = body.shape
-        windows = body.reshape(heads, full // self.window, self.window, d_head)
-        per_channel = np.moveaxis(windows, 2, -1)      # (heads, W, d_head, window)
-        flat = per_channel.reshape(-1, self.window)
-        a = self.selector.select_batch(flat)
-        codec = self._codec_for(self.window)
-        out = codec.qdq(flat, a[:, None])
-        return np.moveaxis(
-            out.reshape(heads, full // self.window, d_head, self.window), -1, 2
-        ).reshape(heads, full, d_head)
+    def _check_chunk(self, k: np.ndarray, v: np.ndarray, final: bool) -> None:
+        """Reject a prefill chunk this cache cannot take, before any write."""
+        if k.ndim != 3 or k.shape != v.shape:
+            raise ValueError(
+                f"prefill chunk k/v must be matching (n_heads, t, d_head), "
+                f"got {k.shape} and {v.shape}"
+            )
+        if self._k is not None:
+            if self._chunk_ch_max is None:
+                raise RuntimeError(
+                    "prefill_chunk on a cache whose prefill already completed"
+                )
+            if (k.shape[0], k.shape[2]) != (self._k.heads, self._k.d_head):
+                raise ValueError(
+                    f"prefill chunk (n_heads, d_head)=({k.shape[0]}, "
+                    f"{k.shape[2]}) does not match this cache's "
+                    f"({self._k.heads}, {self._k.d_head})"
+                )
+        t = k.shape[1]
+        if not final and t % self.window:
+            raise ValueError(
+                f"non-final prefill chunk of {t} tokens is not a multiple "
+                f"of the MANT V-cache window ({self.window}); temporal "
+                "quantization groups must never straddle a chunk boundary"
+            )
 
     # ------------------------------------------------------------------
     def prefill(self, k, v):
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        heads, seq, d_head = v.shape
-        self._reset_buffers(heads, d_head, seq)
-        self._k.append(self._quantize_k(k))
-
-        # Channel scales for the decode-stage INT8 staging (Fig. 8).
-        ch_max = np.max(np.abs(v), axis=1)            # (heads, d_head)
-        ch_max = np.where(ch_max <= 0, 1.0, ch_max)
-        self._stage_scale = (ch_max / self._int8.qmax).astype(np.float16).astype(np.float64)
-
-        # Prefill V: full windows quantize straight to MANT (both inner
-        # dimension data are available), remainder enters staging.
-        full = (seq // self.window) * self.window
-        self._v_final = 0
-        self._reset_window(heads, d_head)
-        if full:
-            self._v.append(self._quantize_v_windows(v[:, :full, :]))
-            self._v_final = full
-        if full < seq:
-            # Batched staging: the remainder is < window, so no window
-            # can close mid-batch and the accumulators update in bulk.
-            self._stage_block(v[:, full:, :])
+        """Whole-prompt prefill: a fresh cache's one final chunk."""
+        self._k = self._v = None
+        self._stage_scale = self._chunk_ch_max = None
+        self.prefill_chunk(k, v, final=True)
 
     def prefill_chunk(self, k, v, final=False):
         """One window-aligned slice of a chunked prompt prefill.
@@ -512,135 +525,184 @@ class MantKVCache(_BufferedKVCache):
         sub-window remainder enters staging.  Non-final chunks must be a
         multiple of ``window``; only the final chunk may be ragged.
         """
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        heads, t, d_head = v.shape
-        if self._k is None:
-            self._reset_buffers(heads, d_head, t)
-            self._v_final = 0
-            self._reset_window(heads, d_head)
-            self._chunk_ch_max = np.zeros((heads, d_head))
-        elif self._chunk_ch_max is None:
-            raise RuntimeError(
-                "prefill_chunk on a cache whose prefill already completed"
-            )
-        full = (t // self.window) * self.window
-        if not final and full != t:
-            raise ValueError(
-                f"non-final prefill chunk of {t} tokens is not a multiple "
-                f"of the MANT V-cache window ({self.window}); temporal "
-                "quantization groups must never straddle a chunk boundary"
-            )
-        self._k.append(self._quantize_k(k))
-        np.maximum(
-            self._chunk_ch_max, np.max(np.abs(v), axis=1), out=self._chunk_ch_max
-        )
-        if full:
-            self._v.append(self._quantize_v_windows(v[:, :full, :]))
-            self._v_final += full
-        if final:
-            ch_max = np.where(self._chunk_ch_max <= 0, 1.0, self._chunk_ch_max)
-            self._stage_scale = (
-                (ch_max / self._int8.qmax).astype(np.float16).astype(np.float64)
-            )
-            self._chunk_ch_max = None
-            if full < t:
-                self._stage_block(v[:, full:, :])
-
-    def _stage_block(self, block: np.ndarray) -> None:
-        """INT8-stage ``(heads, t, d_head)`` tokens + update accumulators.
-
-        The single place the staging quantization and streaming-stat
-        semantics live; does not close windows — callers decide that.
-        """
-        scale = self._stage_scale[:, None, :]
-        q = self._int8.round_clip(block / scale)
-        self._v.append(q * scale)
-        self._accumulate_stats(block)
-
-    def _accumulate_stats(self, block: np.ndarray) -> None:
-        """Fold ``(heads, t, d_head)`` raw tokens into the window stats."""
-        self._acc_sum += block.sum(axis=1)
-        self._acc_sqsum += (block * block).sum(axis=1)
-        self._acc_max = np.maximum(self._acc_max, np.max(np.abs(block), axis=1))
-
-    def _close_window_if_full(self) -> None:
-        if len(self._v) - self._v_final == self.window:
-            self._finalize_window()
-
-    def _stage_append(self, v_t: np.ndarray) -> None:
-        self._stage_block(v_t[:, None, :])
-        self._close_window_if_full()
-
-    def _stage_prequantized(self, v_raw_t: np.ndarray, v_q_t: np.ndarray) -> None:
-        """The tail of :meth:`_stage_append` for callers (the fused batch
-        path) that already INT8-staged the token: append + stats +
-        window close share one implementation with the per-cache path."""
-        self._v.append(v_q_t)
-        self._accumulate_stats(v_raw_t[:, None, :])
-        self._close_window_if_full()
+        type(self).write_layer([], None, None, [(self, k, v, final)])
 
     def append(self, k_t, v_t):
         k_t = np.asarray(k_t, dtype=np.float64)
         v_t = np.asarray(v_t, dtype=np.float64)
-        self._validate_token("k_t", k_t)
-        self._validate_token("v_t", v_t)
-        if self._chunk_ch_max is not None:
-            raise RuntimeError(
-                "append during an unfinished chunked prefill — feed the "
-                "last chunk with prefill_chunk(..., final=True) first"
-            )
-        if self._stage_scale is None:
-            # Decode without prefill: bootstrap scales from this vector,
-            # fp16-rounded like the prefill path (Fig. 8 stores 16-bit
-            # channel scales regardless of how the cache started).
-            heads, d_head = v_t.shape
-            ch_max = np.where(np.abs(v_t) <= 0, 1.0, np.abs(v_t))
-            self._stage_scale = (
-                (ch_max / self._int8.qmax).astype(np.float16).astype(np.float64)
-            )
-            self._reset_buffers(heads, d_head, 16)
-            self._v_final = 0
-            self._reset_window(heads, d_head)
-        self._k.append(self._quantize_k(k_t))
-        self._stage_append(v_t)
+        type(self).write_layer([self], k_t[None], v_t[None], [])
 
     @classmethod
     def append_batch(cls, caches, k_batch, v_batch):
-        """Fused batch append: one MANT select+encode for every K row and
-        one INT8 staging round for every V row.
+        """One token per cache: a decode-only :meth:`write_layer`."""
+        cls.write_layer(caches, k_batch, v_batch, [])
 
-        Group-wise quantization is row-independent, so the fused call is
-        bit-identical to per-cache :meth:`append`; caches whose configs
-        differ (or that still need bootstrap scales) fall back to the
-        loop.  Per-cache streaming accumulators and window finalization
-        are untouched — only the heavy per-token math is batched.
+    @classmethod
+    def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
+        """One layer's KV writes for a tick, quantized in pooled calls.
+
+        Group-wise quantization is row-independent, so pooling is
+        bit-identical to per-cache writes.  Every write is validated
+        before any cache changes.  Then, across all caches of the layer:
+
+        * one variance select + MANT qdq over every K row written (the
+          decode rows and every chunk's tokens — spatial groups along
+          ``d_head``);
+        * one INT8 staging round for the decode V rows (phase 1 of
+          Fig. 8, against each cache's fixed channel scales);
+        * one select per V source — the chunks' full windows from their
+          data, the windows this tick's decode rows close from their
+          streaming accumulators — and one qdq with per-row ``a`` over
+          all of those windows (phase 2; full prompt windows skip
+          staging, both inner-dimension data being available).
+
+        Per-cache accumulators, staging scales and storage writes stay
+        per cache, in the order :meth:`KVCache.write_layer` uses (every
+        decode cache's K then V row, closed windows rewritten in place,
+        then each chunk's K, full V windows and staged remainder), so
+        page allocation is unchanged.  Caches that cannot pool (another
+        class or config) fall back to per-cache writes.
         """
-        k_batch = np.asarray(k_batch, dtype=np.float64)
-        v_batch = np.asarray(v_batch, dtype=np.float64)
-        first = caches[0]
-        fusable = all(
-            type(c) is cls
-            and c.selector.same_policy(first.selector)
-            and c.bits == first.bits
-            and c.group_size == first.group_size
-            and c.window == first.window
-            and c.staging_bits == first.staging_bits
-            and c._stage_scale is not None
-            for c in caches
-        )
-        if not fusable:
-            super().append_batch(caches, k_batch, v_batch)
+        caches = [*decode_caches, *(c for c, _, _, _ in chunks)]
+        if not caches:
             return
-        for c, k_t, v_t in zip(caches, k_batch, v_batch):
-            c._validate_token("k_t", k_t)
-            c._validate_token("v_t", v_t)
-        kq = first._mant_qdq_lastaxis(k_batch)        # (B, heads, d_head)
-        scales = np.stack([c._stage_scale for c in caches])
-        vq = first._int8.round_clip(v_batch / scales) * scales
-        for b, c in enumerate(caches):
-            c._k.append(kq[b])
-            c._stage_prequantized(v_batch[b], vq[b])
+        first = caches[0]
+        if not all(first._pools_with(c) for c in caches):
+            for b, c in enumerate(decode_caches):
+                c.append(k_dec[b], v_dec[b])
+            for c, k, v, final in chunks:
+                c.prefill_chunk(k, v, final=final)
+            return
+
+        # -- validate everything before the first write --------------
+        n_dec = len(decode_caches)
+        if n_dec:
+            k_dec = np.asarray(k_dec, dtype=np.float64)
+            v_dec = np.asarray(v_dec, dtype=np.float64)
+            for c, k_t, v_t in zip(decode_caches, k_dec, v_dec):
+                c._validate_token("k_t", k_t)
+                c._validate_token("v_t", v_t)
+                if c._chunk_ch_max is not None:
+                    raise RuntimeError(
+                        "append during an unfinished chunked prefill — feed "
+                        "the last chunk with prefill_chunk(..., final=True) first"
+                    )
+        chunks = [
+            (c, np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64), final)
+            for c, k, v, final in chunks
+        ]
+        for c, k, v, final in chunks:
+            c._check_chunk(k, v, final)
+
+        # -- pooled math (no cache state touched) --------------------
+        window = first.window
+        d_head = (k_dec if n_dec else chunks[0][1]).shape[-1]
+        kq = first._mant_qdq_lastaxis(np.concatenate(
+            ([k_dec.reshape(-1, d_head)] if n_dec else [])
+            + [k.reshape(-1, d_head) for _, k, _, _ in chunks]
+        ))
+        if n_dec:
+            # Decode without prefill bootstraps its staging scales from
+            # its first vector, fp16-rounded like the prefill path (Fig. 8
+            # stores 16-bit channel scales however the cache started).
+            boot = [c._stage_scale is None for c in decode_caches]
+            scales = np.stack([
+                _fp16_scale(np.where(np.abs(v_t) <= 0, 1.0, np.abs(v_t)), c._int8)
+                if b else c._stage_scale
+                for c, v_t, b in zip(decode_caches, v_dec, boot)
+            ])
+            vq = first._int8.round_clip(v_dec / scales) * scales
+
+            # One token's window stats (Σv, Σv², max|v|) for every row.
+            v_sq, v_abs = v_dec * v_dec, np.abs(v_dec)
+
+        # -- decode rows: per-cache K / staged V writes, in order ----
+        closing = []
+        for b, c in enumerate(decode_caches):
+            heads = k_dec.shape[1]
+            if boot[b]:
+                c._stage_scale = scales[b]
+                c._reset_buffers(heads, d_head, 16)
+                c._v_final = 0
+                c._reset_window(heads, d_head)
+            c._k.append(kq[b * heads:(b + 1) * heads])
+            c._v.append(vq[b])
+            c._acc_sum += v_dec[b]
+            c._acc_sqsum += v_sq[b]
+            np.maximum(c._acc_max, v_abs[b], out=c._acc_max)
+            if len(c._v) - c._v_final == window:
+                closing.append(c)
+
+        # -- every V window completing this tick: one select per source,
+        # one qdq with per-row a ------------------------------------
+        rows = [np.moveaxis(c._v.tail(window), 1, -1).reshape(-1, window)
+                for c in closing]
+        for _, _, v, _ in chunks:
+            heads, t, _ = v.shape
+            n_win = t // window
+            if n_win:
+                w = v[:, :n_win * window].reshape(heads, n_win, window, d_head)
+                rows.append(np.moveaxis(w, 2, -1).reshape(-1, window))
+        if rows:
+            rows = np.concatenate(rows)          # (n_windows·channels, window)
+            n_close = sum(c._v.heads for c in closing) * d_head
+            a = []
+            if closing:
+                n = float(window)
+                acc_sum = np.stack([c._acc_sum for c in closing])
+                acc_max = np.stack([c._acc_max for c in closing])
+                mean = acc_sum / n
+                var = np.stack([c._acc_sqsum for c in closing]) / n - mean * mean
+                amax = np.where(acc_max <= 0, 1.0, acc_max)
+                norm_var = np.clip(var, 0.0, None) / (amax * amax)
+                a.append(first.selector.select_from_variances(norm_var).reshape(-1))
+            if n_close < len(rows):
+                a.append(first.selector.select_batch(rows[n_close:]))
+            vout = first._codec_for(window).qdq(rows, np.concatenate(a)[:, None])
+
+        # -- closed windows: 4-bit MANT in place ---------------------
+        off = 0
+        for c in closing:
+            heads = c._v.heads
+            out = vout[off:off + heads * d_head].reshape(heads, d_head, window)
+            c._v.tail(window)[:] = np.moveaxis(out, -1, 1)
+            off += heads * d_head
+            c._v_final += window
+            c._reset_window(heads, d_head)
+
+        # -- chunks: K rows, full V windows, staged remainder --------
+        k_off = n_dec * k_dec.shape[1] if n_dec else 0
+        for c, k, v, final in chunks:
+            heads, t, _ = v.shape
+            if c._k is None:
+                c._reset_buffers(heads, d_head, t)
+                c._v_final = 0
+                c._reset_window(heads, d_head)
+                c._chunk_ch_max = np.zeros((heads, d_head))
+            c._k.append(kq[k_off:k_off + heads * t].reshape(heads, t, d_head))
+            k_off += heads * t
+            np.maximum(c._chunk_ch_max, np.max(np.abs(v), axis=1), out=c._chunk_ch_max)
+            full = (t // window) * window
+            if full:
+                out = vout[off:off + heads * (full // window) * d_head]
+                off += out.shape[0]
+                c._v.append(np.moveaxis(
+                    out.reshape(heads, full // window, d_head, window), -1, 2
+                ).reshape(heads, full, d_head))
+                c._v_final += full
+            if final:
+                ch_max = np.where(c._chunk_ch_max <= 0, 1.0, c._chunk_ch_max)
+                c._stage_scale = _fp16_scale(ch_max, c._int8)
+                c._chunk_ch_max = None
+                if full < t:
+                    # The sub-window remainder enters INT8 staging and
+                    # opens the first window's streaming stats.
+                    rest = v[:, full:, :]
+                    scale = c._stage_scale[:, None, :]
+                    c._v.append(c._int8.round_clip(rest / scale) * scale)
+                    c._acc_sum += rest.sum(axis=1)
+                    c._acc_sqsum += (rest * rest).sum(axis=1)
+                    c._acc_max = np.maximum(c._acc_max, np.max(np.abs(rest), axis=1))
 
     # ------------------------------------------------------------------
     @property

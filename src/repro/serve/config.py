@@ -47,7 +47,11 @@ class ServeConfig:
     ``block_tokens``
         Page size in tokens.  Must be a multiple of the cache's
         temporal quantization group (the MANT V window) so per-page
-        quantization is bit-identical to the flat caches.
+        quantization is bit-identical to the flat caches.  The default
+        32 pairs with window-32 MANT caches; a ``MantKVCache()`` keeps
+        its 64-token default window (the paper's group size), so it
+        needs ``block_tokens=64`` (or a multiple) — engine construction
+        rejects the mismatch and names that size.
     ``num_blocks``
         Pool size.  ``None`` sizes it for the worst case
         (``ceil(max_seq / block_tokens) × max_batch_size``); smaller

@@ -102,7 +102,8 @@ def validate_block_compat(cache, block_tokens: int) -> None:
         raise ValueError(
             f"block_tokens={block_tokens} must be a multiple of the MANT "
             f"V-cache window ({cache.window}) so temporal quantization "
-            "groups never straddle page boundaries"
+            "groups never straddle page boundaries; the smallest valid "
+            f"page size for this cache is block_tokens={cache.window}"
         )
 
 
@@ -674,8 +675,8 @@ class PagedKVCache(KVCache):
     Wraps one buffered cache (FP16/INT4/MANT4) whose storage is paged;
     the quantization math runs entirely in the wrapped class, so the
     paged cache is bit-identical to the flat one per construction.
-    ``append_batch`` unwraps to the inner class so the fused batch
-    quantization fast path is preserved under paging.
+    ``append_batch`` and ``write_layer`` unwrap to the inner class so
+    the pooled quantization path is preserved under paging.
     """
 
     def __init__(self, inner: _BufferedKVCache, table: PageTable):
@@ -712,6 +713,18 @@ class PagedKVCache(KVCache):
             type(inners[0]).append_batch(inners, k_batch, v_batch)
         else:
             KVCache.append_batch(caches, k_batch, v_batch)
+
+    @classmethod
+    def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
+        if all(type(c) is cls for c in decode_caches) and all(
+            type(c) is cls for c, _, _, _ in chunks
+        ):
+            inners = [c.inner for c in decode_caches]
+            inner_chunks = [(c.inner, k, v, final) for c, k, v, final in chunks]
+            first = inners[0] if inners else inner_chunks[0][0]
+            type(first).write_layer(inners, k_dec, v_dec, inner_chunks)
+        else:
+            KVCache.write_layer(decode_caches, k_dec, v_dec, chunks)
 
     def __getattr__(self, name):
         # Delegate cache-specific extras (staging_fill, window, ...).

@@ -114,3 +114,51 @@ def test_roundtrip_never_increases_groupwise_absmax(rows, cols, a):
     assert w_hat.shape == w.shape
     # Absmax scaling can never produce values beyond the group max.
     assert np.max(np.abs(w_hat)) <= np.max(np.abs(w)) * (1 + 1e-3) + 1e-9
+
+
+# Coefficient pools for the qdq ≡ decode∘encode property: the canonical
+# 16-type set (the searchsorted fast path) and off-set values that force
+# the np.unique fallback with per-set tables.
+_CANONICAL_A = [0.0, 5.0, 10.0, 17.0, 20.0, 60.0, 120.0, float(INT_A)]
+_EXOTIC_A = [3.0, 7.5, 33.0, 64.0, 127.0]
+
+
+@given(
+    bits=st.sampled_from([2, 3, 4]),
+    group_size=st.sampled_from([4, 8, 16, 32]),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 70),
+    exotic=st.booleans(),
+    fp16_scales=st.booleans(),
+    magnitude=st.sampled_from([1.0, 1e-3, 1e-8, 1e-30]),
+    zero_frac=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=120, deadline=None)
+def test_qdq_byte_equal_to_decode_of_encode(bits, group_size, rows, cols, exotic,
+                                            fp16_scales, magnitude, zero_frac, seed):
+    """The single-gather fake-quant is the reference codec, bit for bit:
+    padded tail groups, all-zero groups, INT groups, exotic coefficient
+    sets and fp16-underflowing scales (1e-8 and below flush the fp16
+    scale to zero or a subnormal) included."""
+    rng = np.random.default_rng(seed)
+    codec = MantCodec(bits=bits, group_size=group_size, fp16_scales=fp16_scales)
+    n_groups = -(-cols // group_size)
+    w = rng.normal(size=(rows, cols)) * magnitude
+    # Zero whole groups (the scale-base-1 branch of the absmax).
+    dead = rng.random((rows, n_groups)) < zero_frac
+    w[np.repeat(dead, group_size, axis=1)[:, :cols]] = 0.0
+    pool = _CANONICAL_A + (_EXOTIC_A if exotic else [])
+    a = rng.choice(pool, size=(rows, n_groups))
+    ref = codec.decode(codec.encode(w, a))
+    out = codec.qdq(w, a)
+    assert out.shape == w.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_qdq_rejects_bad_shapes():
+    codec = MantCodec(group_size=8)
+    with pytest.raises(ValueError, match="2-D"):
+        codec.qdq(np.zeros(8), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="a_per_group shape"):
+        codec.qdq(np.zeros((2, 8)), np.zeros((1, 1)))

@@ -436,6 +436,15 @@ class TestPagedEngine:
             GenerationEngine(model, CACHE_FACTORIES["mant4"], ServeConfig(
                 block_tokens=24))
 
+    def test_default_config_rejects_default_mant_naming_valid_size(self, model):
+        """ServeConfig()'s 32-token pages cannot hold MantKVCache()'s
+        64-token V window; the error names the page size that can."""
+        with pytest.raises(ValueError, match=r"block_tokens=32 must be a multiple"
+                           r".*\(64\).*smallest valid page size for this "
+                           r"cache is block_tokens=64"):
+            GenerationEngine(model, MantKVCache, ServeConfig())
+        GenerationEngine(model, MantKVCache, ServeConfig(block_tokens=64))
+
     def test_append_batch_fusion_preserved_under_paging(self, model):
         """PagedKVCache.append_batch must dispatch the inner fused path."""
         factory = CACHE_FACTORIES["mant4"]

@@ -40,13 +40,23 @@ codes; reconstruction differs only on boundary-adjacent values):
 The decode path is cheap and is what the fused kernel in
 :mod:`repro.core.fused` folds into the GEMM.
 
-Fake quantization (:meth:`MantCodec.qdq`, the real-time KV cache's
-codec) never materializes codes: every stacked table also carries the
-*level value* each merged-ladder position decodes to in each grid
-(``pos_value``, the same float expression :meth:`MantCodec.decode`
-evaluates), so a qdq is ladder positions → one level gather → × the
-group's fp16 scale, byte-equal to ``decode(encode(w, a))`` — the
-software image of a decoder that is a level lookup fused into compute.
+Fake quantization (the real-time KV cache's codec) never materializes
+codes: every stacked table also carries the *level value* each
+merged-ladder position decodes to in each grid (``pos_value``, the same
+float expression :meth:`MantCodec.decode` evaluates), so a qdq is one
+tail — ladder positions → one level gather → × the group's fp16 scale —
+byte-equal to ``decode(encode(w, a))``, the software image of a decoder
+that is a level lookup fused into compute.  Two heads feed that tail:
+
+* :meth:`MantCodec.qdq` takes explicit per-group coefficients and
+  resolves them to grid ids per call (the reference entry);
+* :meth:`MantCodec.select_qdq` groups once, takes the absmax once and
+  lets a :class:`~repro.core.selection.VarianceSelector` pick *grid ids*
+  directly (its range index mapped through a grid map resolved once per
+  selector), so no coefficient array exists and nothing is grouped or
+  reduced twice.  :meth:`MantCodec.qdq_ids` is the same tail for range
+  ids from any source (the KV cache's V windows mix streaming-statistics
+  ids and data ids in one call).
 """
 
 from __future__ import annotations
@@ -235,33 +245,49 @@ class _MergedLadder:
     ``positions`` computes, for normalized values in ``[-1, 1]``, the
     count of merged boundaries strictly below each value — the quantity
     every per-grid code derives from.  Instead of a binary search per
-    element, the range is pre-split into ``n_buckets`` uniform buckets;
-    buckets that no boundary touches (with a one-bucket safety margin
-    for float rounding at the edges) resolve by a single LUT load, and
-    only values in the few straddling buckets fall back to an exact
-    ``searchsorted``.  Bit-identical to the plain binary search.
+    element, the range is pre-split into ``n_buckets`` uniform buckets,
+    each widened by a one-bucket margin on either side to absorb float
+    rounding in the bucket index.  A bucket whose widened interval holds
+    at most one boundary resolves exactly as ``bucket_pos`` (the
+    boundaries below the interval) plus one comparison against
+    ``bucket_edge`` (that boundary, or +inf); only values in buckets
+    holding several (``bucket_pos`` -1, none at all for the canonical
+    4-bit ladder) fall back to an exact ``searchsorted``.  Bit-identical
+    to the plain binary search.
     """
 
     boundaries: np.ndarray   # (B,) merged normalized boundaries
-    bucket_pos: np.ndarray   # (n_buckets,) position, or -1 if ambiguous
+    bucket_pos: np.ndarray   # (n_buckets + 1,) boundaries below, or -1 if ambiguous
+    bucket_edge: np.ndarray  # (n_buckets + 1,) the one boundary inside, else +inf
     n_buckets: int
+    exact: bool              # no ambiguous bucket
 
     def positions(self, values: np.ndarray) -> np.ndarray:
-        """Merged-ladder position (#boundaries < v) per value, exact."""
+        """Merged-ladder position (#boundaries < v) per value, exact.
+
+        ``v == 1`` lands one past the last bucket; the tables repeat
+        that bucket there instead of clamping every index.
+        """
         flat = values.ravel()
-        half = self.n_buckets / 2.0
-        idx = ((flat + 1.0) * half).astype(np.intp)
-        np.minimum(idx, self.n_buckets - 1, out=idx)
+        idx = flat + 1.0
+        idx *= self.n_buckets / 2.0
+        idx = idx.astype(np.intp)
         pos = self.bucket_pos.take(idx)
-        ambiguous = pos < 0
-        if ambiguous.any():
-            pos[ambiguous] = np.searchsorted(
-                self.boundaries, flat[ambiguous], side="left"
-            )
+        pos += flat > self.bucket_edge.take(idx)
+        if not self.exact:
+            # Ambiguous buckets hold -1 and a +inf edge, so stay -1.
+            ambiguous = pos < 0
+            if ambiguous.any():
+                pos[ambiguous] = np.searchsorted(
+                    self.boundaries, flat[ambiguous], side="left"
+                )
         return pos.reshape(values.shape)
 
 
-_LADDER_BUCKETS = 8192
+# Fine enough that every widened bucket of the canonical 4-bit ladder
+# (smallest boundary gap 4.1e-4 > three bucket widths) holds at most one
+# boundary.
+_LADDER_BUCKETS = 16384
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -272,22 +298,31 @@ def _merged_ladder(a_tuple: tuple, bits: int) -> _MergedLadder:
     k = _LADDER_BUCKETS
     width = 2.0 / k
     edges = -1.0 + np.arange(k + 1) * width
-    # A bucket is unambiguous when the boundary count is identical across
-    # its margin-extended interval; the margin absorbs 1-ulp bucket
-    # misassignment at the edges, keeping the LUT path exact.
+    # The boundaries inside a bucket's margin-extended interval are
+    # merged[lo:hi]; the margin absorbs 1-ulp bucket misassignment at the
+    # edges, so counting below the interval plus comparing against the
+    # ones inside it is exact.
     lo = np.searchsorted(merged, edges[:-1] - width, side="left")
     hi = np.searchsorted(merged, edges[1:] + width, side="right")
+    inside = hi - lo
+    edge = np.full(k, np.inf)
+    one = inside == 1
+    edge[one] = merged[lo[one]]
+    pos = np.where(inside <= 1, lo, -1)
     return _MergedLadder(
         boundaries=merged,
-        bucket_pos=np.where(lo == hi, lo, -1),
+        bucket_pos=np.append(pos, pos[-1]),
+        bucket_edge=np.append(edge, edge[-1]),
         n_buckets=k,
+        exact=bool((inside <= 1).all()),
     )
 
 
 def _group_absmax(groups: np.ndarray) -> np.ndarray:
     """Per-group absmax with all-zero groups mapped to scale base 1."""
-    amax = np.maximum(groups.max(axis=-1), -groups.min(axis=-1))
-    return np.where(amax <= 0, 1.0, amax)
+    amax = np.abs(groups).max(axis=-1)
+    amax[amax == 0] = 1.0
+    return amax
 
 
 @dataclass(frozen=True)
@@ -362,7 +397,6 @@ class MantCodec:
         self.bits = bits
         self.group_size = group_size
         self.fp16_scales = fp16_scales
-        self._int_type = IntType(bits)
 
     # ------------------------------------------------------------------
     def grid(self, a: float):
@@ -417,29 +451,19 @@ class MantCodec:
 
     # ------------------------------------------------------------------
     def _locate(self, w: np.ndarray, a_per_group: np.ndarray):
-        """The search half of :meth:`encode` / :meth:`qdq`: group ``w``,
-        resolve the grids, and place every value on the merged ladder.
-
-        One bucketized lookup against the merged boundary ladder locates
-        every value in every selected grid simultaneously; the per-group
-        grid choice is then a LUT gather by ``(gid, pos)`` — no Python
-        loop over coefficient buckets.
-        """
+        """The explicit-``a`` head of :meth:`encode` / :meth:`qdq`: group
+        ``w``, resolve the grids and compute the group absmax."""
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2:
             raise ValueError(f"MantCodec expects 2-D weights, got {w.shape}")
         view = to_groups(w, self.group_size, axis=-1)
-        groups = view.groups  # (rows, n_groups, g)
         a_per_group = np.asarray(a_per_group, dtype=np.float64)
-        if a_per_group.shape != groups.shape[:2]:
+        if a_per_group.shape != view.groups.shape[:2]:
             raise ValueError(
-                f"a_per_group shape {a_per_group.shape} != {groups.shape[:2]}"
+                f"a_per_group shape {a_per_group.shape} != {view.groups.shape[:2]}"
             )
         st, gid = self._resolve_grids(a_per_group)
-        amax = _group_absmax(groups)
-        pos = st.ladder.positions(groups / amax[..., None])
-        scale = self._round_scale(amax / st.grid_max[gid])
-        return view, a_per_group, st, gid, pos, scale
+        return view, a_per_group, st, gid, _group_absmax(view.groups)
 
     def encode(self, w: np.ndarray, a_per_group: np.ndarray) -> MantEncoded:
         """Encode ``w`` with the given per-group coefficients.
@@ -449,9 +473,14 @@ class MantCodec:
         Coefficient selection itself lives in
         :mod:`repro.core.selection`; this method only applies it.
         """
-        view, a_per_group, st, gid, pos, scale = self._locate(w, a_per_group)
+        view, a_per_group, st, gid, amax = self._locate(w, a_per_group)
+        # One bucketized lookup against the merged boundary ladder
+        # locates every value in every selected grid simultaneously; the
+        # per-group grid choice is then a LUT gather by ``(gid, pos)``.
+        pos = st.ladder.positions(view.groups / amax[..., None])
         sign = self._flat_gather(st.pos_sign, gid, pos)
         magnitude = self._flat_gather(st.pos_magnitude, gid, pos)
+        scale = self._round_scale(amax / st.grid_max[gid])
         # Freshly allocated here — freeze now so MantEncoded skips its
         # defensive copy (reserved for caller-supplied arrays).
         for arr in (sign, magnitude, scale):
@@ -525,16 +554,52 @@ class MantCodec:
         return from_groups(view)
 
     # ------------------------------------------------------------------
-    def qdq(self, w: np.ndarray, a_per_group: np.ndarray) -> np.ndarray:
-        """Encode-then-decode (fake quantization) as one level gather.
+    # Fake quantization: one head per way of choosing the grids, one tail
+    # ------------------------------------------------------------------
+    def _qdq_tail(self, groups, amax, st: _StackedTables, gid) -> np.ndarray:
+        """Ladder positions → one ``pos_value`` gather → × fp16 scale.
 
-        Byte-equal to ``decode(encode(w, a_per_group))``: the same ladder
-        positions select ``pos_value`` — the level ``decode`` would
-        compute from the gathered sign-magnitude code — and the same
-        fp16 scale multiplies it, but no codes or :class:`MantEncoded`
-        are built.
+        ``groups`` is ``(..., g)``, ``amax`` its :func:`_group_absmax`
+        and ``gid`` the per-group grid id into ``st``.  Byte-equal to
+        ``decode(encode())`` under the same grids: the positions select
+        ``pos_value`` — the level ``decode`` would compute from the
+        gathered sign-magnitude code — and the same fp16 scale
+        multiplies it, but no codes or :class:`MantEncoded` are built.
         """
-        view, _, st, gid, pos, scale = self._locate(w, a_per_group)
-        vals = self._flat_gather(st.pos_value, gid, pos)
-        vals *= scale[..., None]
-        return from_groups(view, vals)
+        lin = st.ladder.positions(groups / amax[..., None])
+        if st.n_grids > 1:
+            lin += (gid * st.pos_value.shape[1])[..., None]
+        vals = st.pos_value.take(lin)
+        vals *= self._round_scale(amax / st.grid_max[gid])[..., None]
+        return vals
+
+    def qdq(self, w: np.ndarray, a_per_group: np.ndarray) -> np.ndarray:
+        """Encode-then-decode (fake quantization) with explicit
+        coefficients, as one level gather; byte-equal to
+        ``decode(encode(w, a_per_group))``."""
+        view, _, st, gid, amax = self._locate(w, a_per_group)
+        return from_groups(view, self._qdq_tail(view.groups, amax, st, gid))
+
+    def select_qdq(self, x: np.ndarray, selector) -> np.ndarray:
+        """Variance-select then fake-quantize, grouping once.
+
+        Groups the last axis of ``x`` (any leading shape), computes the
+        group absmax once, takes ``selector``'s range ids
+        (:meth:`repro.core.selection.VarianceSelector.batch_ids`) and runs
+        the :meth:`qdq` tail.  Byte-equal to
+        ``qdq(x, selector.select_batch(groups))`` for 2-D ``x``, without
+        materialising coefficients or resolving them per call.
+        """
+        view = to_groups(np.asarray(x, dtype=np.float64), self.group_size, axis=-1)
+        amax = _group_absmax(view.groups)
+        ids = selector.batch_ids(view.groups, amax)
+        return from_groups(view, self.qdq_ids(view.groups, amax, selector, ids))
+
+    def qdq_ids(self, groups, amax, selector, ids) -> np.ndarray:
+        """The :meth:`qdq` tail for groups whose grids are ``selector``
+        range ids (any source: the groups' own variance, or streaming
+        accumulators); ``amax`` is the groups' :func:`_group_absmax`."""
+        key, grid_ids = selector.grid_map()
+        return self._qdq_tail(
+            groups, amax, _stacked_tables(key, self.bits), grid_ids.take(ids)
+        )

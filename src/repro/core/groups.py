@@ -43,13 +43,15 @@ def to_groups(x: np.ndarray, group_size: int, axis: int = -1) -> GroupView:
     """Reshape ``x`` so ``axis`` splits into ``(n_groups, group_size)``.
 
     The grouped axis is moved to the end, so the result is always
-    ``(..., n_groups, group_size)`` regardless of ``axis``.
+    ``(..., n_groups, group_size)`` regardless of ``axis``.  Grouping the
+    last axis (every serving-path quantizer) is a plain reshape: no
+    ``moveaxis``, and no pad unless the length is ragged.
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     x = np.asarray(x)
     axis = axis % x.ndim
-    moved = np.moveaxis(x, axis, -1)
+    moved = x if axis == x.ndim - 1 else np.moveaxis(x, axis, -1)
     length = moved.shape[-1]
     pad = (-length) % group_size
     if pad:
@@ -62,8 +64,11 @@ def to_groups(x: np.ndarray, group_size: int, axis: int = -1) -> GroupView:
 def from_groups(view: GroupView, groups: np.ndarray | None = None) -> np.ndarray:
     """Undo :func:`to_groups`, optionally substituting modified groups."""
     g = view.groups if groups is None else groups
+    last = view.axis == len(view.original_shape) - 1
+    if last and not view.pad:
+        return g.reshape(view.original_shape)
     flat = g.reshape(*g.shape[:-2], g.shape[-2] * g.shape[-1])
     if view.pad:
         flat = flat[..., : flat.shape[-1] - view.pad]
-    moved = np.moveaxis(flat, -1, view.axis)
+    moved = flat if last else np.moveaxis(flat, -1, view.axis)
     return moved.reshape(view.original_shape)

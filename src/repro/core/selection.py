@@ -26,6 +26,14 @@ Two selectors, matching the paper's two deployment regimes:
   MSE-optimal ``a``, record the mean variance per ``a``, and cut ranges
   at the midpoints.  At run time only ``Σx``, ``Σx²`` and ``max|x|`` are
   needed — all computable streaming, which is what the RQU provides.
+
+  Selection is id-level underneath: :meth:`VarianceSelector.variance_ids`
+  and :meth:`VarianceSelector.batch_ids` return range indices into the
+  sorted coefficients, and :meth:`VarianceSelector.grid_map` maps an index
+  to a grid id of the codec's stacked tables (resolved once per
+  selector).  ``select_batch`` / ``select_from_variances`` are those ids
+  taken through the coefficient array; the serving path skips that step
+  and hands ids to :meth:`repro.core.codec.MantCodec.select_qdq`.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from repro.core.codec import (
     MantEncoded,
     INT_A,
     grid_tables,
+    _CANONICAL_ARRAY,
+    _CANONICAL_SORTED,
     _group_absmax,
     _stacked_tables,
 )
@@ -324,6 +334,30 @@ class MseSearchSelector:
         return codec.from_codes(codes, a, amax, w.shape, view.pad)
 
 
+def _variance_lastaxis(g: np.ndarray) -> np.ndarray:
+    """``g.var(axis=-1)``, byte for byte: numpy's own steps (sum → ÷n →
+    subtract → square → sum → ÷n) without its per-call dispatch, which
+    dominates on the few-row blocks a serving tick quantizes."""
+    n = g.shape[-1]
+    d = g - np.add.reduce(g, axis=-1, keepdims=True) / n
+    np.square(d, out=d)
+    return np.add.reduce(d, axis=-1) / n
+
+
+@lru_cache(maxsize=None)
+def _theoretical_pairs(bits: int, a_candidates: tuple, include_int: bool) -> tuple:
+    """``(grid variance, a)`` per candidate, ascending: the unfitted
+    ranges, computed once per configuration rather than once per
+    selector (serving builds one per KV cache, i.e. per sequence and
+    layer)."""
+    pairs = [(get_mant_grid(a, bits).normalized_variance(), a) for a in a_candidates]
+    if include_int:
+        itype = IntType(bits)
+        g = itype.grid / itype.qmax
+        pairs.append((float(np.mean(g * g) - np.mean(g) ** 2), INT_A))
+    return tuple(sorted(pairs))
+
+
 class VarianceSelector:
     """Real-time coefficient selection from streaming variance (Sec. V-C).
 
@@ -347,23 +381,22 @@ class VarianceSelector:
         self.include_int = include_int
         self._sorted_a: np.ndarray
         self._thresholds: np.ndarray
+        self._grids: tuple | None = None
         self._init_theoretical()
 
     # ------------------------------------------------------------------
     def _init_theoretical(self) -> None:
         """Default ranges from uniform-usage grid variances (Fig. 6)."""
-        pairs = [
-            (get_mant_grid(a, self.bits).normalized_variance(), a)
-            for a in self.a_candidates
-        ]
-        if self.include_int:
-            itype = IntType(self.bits)
-            g = itype.grid / itype.qmax
-            pairs.append((float(np.mean(g * g) - np.mean(g) ** 2), INT_A))
-        pairs.sort()
-        variances = np.asarray([p[0] for p in pairs])
-        self._sorted_a = np.asarray([p[1] for p in pairs])
+        pairs = _theoretical_pairs(self.bits, self.a_candidates, self.include_int)
+        self._set_ranges(
+            np.asarray([p[1] for p in pairs]), np.asarray([p[0] for p in pairs])
+        )
+
+    def _set_ranges(self, sorted_a: np.ndarray, variances: np.ndarray) -> None:
+        """Install coefficients ordered by variance, cut at midpoints."""
+        self._sorted_a = sorted_a
         self._thresholds = 0.5 * (variances[:-1] + variances[1:])
+        self._grids = None
 
     # ------------------------------------------------------------------
     def fit(self, calibration_groups: np.ndarray) -> "VarianceSelector":
@@ -403,9 +436,9 @@ class VarianceSelector:
             # Degenerate calibration (e.g. constant data): keep defaults.
             return self
         pairs.sort()
-        var_means = np.asarray([p[0] for p in pairs])
-        self._sorted_a = np.asarray([p[1] for p in pairs])
-        self._thresholds = 0.5 * (var_means[:-1] + var_means[1:])
+        self._set_ranges(
+            np.asarray([p[1] for p in pairs]), np.asarray([p[0] for p in pairs])
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -420,21 +453,60 @@ class VarianceSelector:
         """Vectorised range lookup: normalized variances → coefficients.
 
         The public entry point for callers that already hold streaming
-        statistics (e.g. the KV cache's window accumulators): one
-        ``searchsorted`` against the calibrated thresholds, any input
-        shape.
+        statistics: one ``searchsorted`` against the calibrated
+        thresholds, any input shape.
         """
-        nv = np.asarray(normalized_variances, dtype=np.float64)
-        idx = np.searchsorted(self._thresholds, nv)
-        return self._sorted_a[idx]
+        return self._sorted_a.take(self.variance_ids(normalized_variances))
 
     def select_batch(self, groups: np.ndarray) -> np.ndarray:
         """Vectorised selection for ``(..., group_size)`` groups."""
+        return self._sorted_a.take(self.batch_ids(groups))
+
+    # ------------------------------------------------------------------
+    # Id-level selection: what the fused select+quantize entry
+    # (:meth:`repro.core.codec.MantCodec.select_qdq`) consumes.  An id
+    # indexes ``_sorted_a``; :meth:`grid_map` turns it into a grid id of
+    # a stacked codec table without ever materialising coefficients.
+    # ------------------------------------------------------------------
+    def variance_ids(self, normalized_variances) -> np.ndarray:
+        """Range index (into the sorted coefficients) per variance."""
+        nv = np.asarray(normalized_variances, dtype=np.float64)
+        return self._thresholds.searchsorted(nv)
+
+    def batch_ids(self, groups: np.ndarray, amax: np.ndarray | None = None) -> np.ndarray:
+        """Range index per ``(..., group_size)`` group.
+
+        ``amax`` is the per-group absmax with zero groups mapped to 1
+        (:func:`repro.core.codec._group_absmax`), passed by callers that
+        already hold it so a quantize computes it once.
+        """
         g = np.asarray(groups, dtype=np.float64)
-        amax = np.max(np.abs(g), axis=-1)
-        amax = np.where(amax <= 0, 1.0, amax)
-        norm_var = g.var(axis=-1) / (amax * amax)
-        return self.select_from_variances(norm_var)
+        if amax is None:
+            amax = _group_absmax(g)
+        return self.variance_ids(_variance_lastaxis(g) / (amax * amax))
+
+    def grid_map(self) -> tuple[tuple, np.ndarray]:
+        """``(table_key, grid_ids)``: the stacked-table key this
+        selector's coefficients resolve to and, per range index, the
+        grid id in that table.
+
+        :meth:`MantCodec._resolve_grids`' rule, applied once per
+        selector instead of once per quantize: coefficients inside the
+        canonical 16-type set share its table, any other set gets a
+        table of its own (ascending).  Resolved lazily — no table is
+        built at import — and reset when :meth:`fit` moves the ranges.
+        """
+        if self._grids is None:
+            a = self._sorted_a
+            gid = _CANONICAL_ARRAY.searchsorted(a)
+            if (_CANONICAL_ARRAY.take(gid, mode="clip") == a).all():
+                self._grids = (_CANONICAL_SORTED, gid)
+            else:
+                uniq = np.unique(a)
+                self._grids = (
+                    tuple(float(x) for x in uniq), uniq.searchsorted(a)
+                )
+        return self._grids
 
     def same_policy(self, other) -> bool:
         """True when both selectors decide identically on every input.

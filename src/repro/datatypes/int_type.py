@@ -42,14 +42,21 @@ class IntType(GridDataType):
         ``0.0`` restores the grid value, so the bytes match the generic
         encode/decode path exactly.  NaN in ``x / scale`` (NaN or ±inf
         input under absmax scaling) has no grid point and raises.
+
+        Every step after the divide runs in place on the quotient
+        temporary, so the activation hot path allocates one array.
         """
         x = np.asarray(x, dtype=np.float64)
         if scale is None:
             scale = self.scale_for(x)
-        q = self.round_clip(x / scale)
+        q = np.asarray(x / scale)
+        np.rint(q, out=q)
+        np.clip(q, -self.qmax, self.qmax, out=q)
         if np.isnan(q).any():
             raise ValueError("cannot quantize NaN (NaN or infinite input)")
-        return (q + 0.0) * scale
+        q += 0.0
+        q *= scale
+        return q
 
     def round_clip(self, scaled: np.ndarray) -> np.ndarray:
         """Round-and-saturate to raw integer values (not grid indices)."""

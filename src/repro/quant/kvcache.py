@@ -21,10 +21,13 @@ is modelled in :mod:`repro.hardware.rqu`.
 Writes are pooled per layer: the model hands each layer's whole tick —
 one token for every decoding sequence plus every prompt chunk — to one
 :meth:`KVCache.write_layer` call.  :class:`MantKVCache` answers it with
-one K quantize (every row written) and one V quantize (every window
-completing: full prompt windows and staging windows closed by this
-tick's tokens, each group with its own ``a``), each a single
-:meth:`~repro.core.codec.MantCodec.qdq` level gather.  Quantization
+one K quantize (every row written:
+:meth:`~repro.core.codec.MantCodec.select_qdq`, grouped and reduced
+once) and one V quantize (every window completing: full prompt windows
+selected from their data and staging windows closed by this tick's
+tokens selected from their streaming statistics, concatenated into one
+:meth:`~repro.core.codec.MantCodec.qdq_ids` call), each a single level
+gather; no per-group coefficient array is built.  Quantization
 groups are row-independent, so the pooled result is byte-equal to
 per-cache writes; the per-cache streaming state and storage writes keep
 the per-cache order.  ``prefill``, ``prefill_chunk``, ``append`` and
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.codec import MantCodec, INT_A
+from repro.core.codec import MantCodec, INT_A, _group_absmax
 from repro.core.groups import to_groups, from_groups
 from repro.core.selection import VarianceSelector
 from repro.datatypes.int_type import IntType
@@ -311,13 +314,23 @@ class FP16KVCache(_BufferedKVCache):
         self._v.append(v_t)
 
 
+def _fp16_nonzero(scale: np.ndarray) -> np.ndarray:
+    """Round scales to fp16; a zero fp16 scale becomes 1.
+
+    :meth:`repro.quant.quantizer.GroupQuantizer._round_scale`'s rule: a
+    scale is zero for an all-zero group or for a nonzero absmax below
+    the fp16 subnormal range, and scale 1 quantizes either to zeros
+    instead of dividing 0 by 0.
+    """
+    scale = scale.astype(np.float16).astype(np.float64)
+    return np.where(scale == 0, 1.0, scale)
+
+
 def _int_qdq_lastaxis(x: np.ndarray, bits: int, group_size: int) -> np.ndarray:
     """Group-wise symmetric INT fake-quant along the last axis."""
     itype = IntType(bits)
     view = to_groups(x, group_size, axis=-1)
-    amax = np.max(np.abs(view.groups), axis=-1, keepdims=True)
-    amax = np.where(amax <= 0, itype.qmax, amax)
-    scale = (amax / itype.qmax).astype(np.float16).astype(np.float64)
+    scale = _fp16_nonzero(np.abs(view.groups).max(axis=-1, keepdims=True) / itype.qmax)
     q = itype.round_clip(view.groups / scale)
     return from_groups(view, q * scale)
 
@@ -393,7 +406,7 @@ class IntKVCache(_BufferedKVCache):
 
 def _fp16_scale(ch_max: np.ndarray, itype: IntType) -> np.ndarray:
     """Channel staging scales ``ch_max / qmax``, stored as fp16 (Fig. 8)."""
-    return (ch_max / itype.qmax).astype(np.float16).astype(np.float64)
+    return _fp16_nonzero(ch_max / itype.qmax)
 
 
 class MantKVCache(_BufferedKVCache):
@@ -455,10 +468,7 @@ class MantKVCache(_BufferedKVCache):
 
     def _mant_qdq_lastaxis(self, x: np.ndarray) -> np.ndarray:
         g = min(self.group_size, x.shape[-1])
-        codec = self._codec_for(g)
-        flat = x.reshape(-1, x.shape[-1])
-        a = self.selector.select_batch(to_groups(flat, g, axis=-1).groups)
-        return codec.qdq(flat, a).reshape(x.shape)
+        return self._codec_for(g).select_qdq(x, self.selector)
 
     def _pools_with(self, other) -> bool:
         """True when ``other``'s writes can share this cache's
@@ -545,16 +555,17 @@ class MantKVCache(_BufferedKVCache):
         bit-identical to per-cache writes.  Every write is validated
         before any cache changes.  Then, across all caches of the layer:
 
-        * one variance select + MANT qdq over every K row written (the
-          decode rows and every chunk's tokens — spatial groups along
-          ``d_head``);
+        * one :meth:`~repro.core.codec.MantCodec.select_qdq` over every
+          K row written (the decode rows and every chunk's tokens —
+          spatial groups along ``d_head``);
         * one INT8 staging round for the decode V rows (phase 1 of
           Fig. 8, against each cache's fixed channel scales);
-        * one select per V source — the chunks' full windows from their
-          data, the windows this tick's decode rows close from their
-          streaming accumulators — and one qdq with per-row ``a`` over
-          all of those windows (phase 2; full prompt windows skip
-          staging, both inner-dimension data being available).
+        * one :meth:`~repro.core.codec.MantCodec.qdq_ids` over every V
+          window completing (phase 2), its range ids concatenated from
+          the windows this tick's decode rows close (their streaming
+          accumulators) and the chunks' full windows (their data; full
+          prompt windows skip staging, both inner-dimension data being
+          available), its absmax taken from the rows.
 
         Per-cache accumulators, staging scales and storage writes stay
         per cache, in the order :meth:`KVCache.write_layer` uses (every
@@ -633,8 +644,8 @@ class MantKVCache(_BufferedKVCache):
             if len(c._v) - c._v_final == window:
                 closing.append(c)
 
-        # -- every V window completing this tick: one select per source,
-        # one qdq with per-row a ------------------------------------
+        # -- every V window completing this tick: one qdq tail, range
+        # ids from each window's source ----------------------------
         rows = [np.moveaxis(c._v.tail(window), 1, -1).reshape(-1, window)
                 for c in closing]
         for _, _, v, _ in chunks:
@@ -644,21 +655,27 @@ class MantKVCache(_BufferedKVCache):
                 w = v[:, :n_win * window].reshape(heads, n_win, window, d_head)
                 rows.append(np.moveaxis(w, 2, -1).reshape(-1, window))
         if rows:
-            rows = np.concatenate(rows)          # (n_windows·channels, window)
+            # (n_windows·channels, 1, window): one group per row.
+            groups = np.concatenate(rows)[:, None, :]
+            amax = _group_absmax(groups)
             n_close = sum(c._v.heads for c in closing) * d_head
-            a = []
+            ids = []
             if closing:
+                # Closing windows select from their streaming stats ...
                 n = float(window)
                 acc_sum = np.stack([c._acc_sum for c in closing])
                 acc_max = np.stack([c._acc_max for c in closing])
                 mean = acc_sum / n
                 var = np.stack([c._acc_sqsum for c in closing]) / n - mean * mean
-                amax = np.where(acc_max <= 0, 1.0, acc_max)
-                norm_var = np.clip(var, 0.0, None) / (amax * amax)
-                a.append(first.selector.select_from_variances(norm_var).reshape(-1))
-            if n_close < len(rows):
-                a.append(first.selector.select_batch(rows[n_close:]))
-            vout = first._codec_for(window).qdq(rows, np.concatenate(a)[:, None])
+                acc_max = np.where(acc_max <= 0, 1.0, acc_max)
+                norm_var = np.clip(var, 0.0, None) / (acc_max * acc_max)
+                ids.append(first.selector.variance_ids(norm_var).reshape(-1, 1))
+            if n_close < len(groups):
+                # ... prompt windows from their data.
+                ids.append(first.selector.batch_ids(groups[n_close:], amax[n_close:]))
+            vout = first._codec.qdq_ids(
+                groups, amax, first.selector, np.concatenate(ids)
+            ).reshape(-1, window)
 
         # -- closed windows: 4-bit MANT in place ---------------------
         off = 0

@@ -4,6 +4,12 @@ These implement the plain data-type paths (INT, FP4, NF4, PoT, flint):
 one scaling factor per tensor, per channel or per group, absmax
 symmetric (paper Eq. 1/4).  Adaptive methods (MANT, ANT, OliVe, Tender,
 clustering) build on top of these in their own modules.
+
+:meth:`GroupQuantizer.qdq` is also the serving path's activation
+quantizer (group-wise INT8, Sec. V-B): grouping the last axis is a
+reshape, the group absmax is one reduction, and
+:meth:`repro.datatypes.int_type.IntType.qdq` rounds, clips and rescales
+in place on its one quotient temporary.
 """
 
 from __future__ import annotations
@@ -97,10 +103,9 @@ class GroupQuantizer:
             out = self.dtype.qdq(moved, scale)
             return np.moveaxis(out, -1, axis)
         view = to_groups(x, self.group_size, axis=axis)
-        amax = np.max(np.abs(view.groups), axis=-1, keepdims=True)
+        amax = np.abs(view.groups).max(axis=-1, keepdims=True)
         scale = self._round_scale(amax / self.dtype.grid_max)
-        out = self.dtype.qdq(view.groups, scale)
-        return from_groups(view, out)
+        return from_groups(view, self.dtype.qdq(view.groups, scale))
 
 
 def quantize_dequantize(

@@ -1,11 +1,21 @@
 """Tests for the group-wise MANT codec (paper Eq. 4, Fig. 7)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.codec import INT_A, MantCodec, MantEncoded
+from repro.core.codec import (
+    INT_A,
+    MantCodec,
+    MantEncoded,
+    _CANONICAL_SORTED,
+    _merged_ladder,
+)
+from repro.core.groups import to_groups
 from repro.core.mant import MantGrid
+from repro.core.selection import VarianceSelector
 
 
 def uniform_a(rows, n_groups, a=17.0):
@@ -162,3 +172,83 @@ def test_qdq_rejects_bad_shapes():
         codec.qdq(np.zeros(8), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="a_per_group shape"):
         codec.qdq(np.zeros((2, 8)), np.zeros((1, 1)))
+
+
+@lru_cache(maxsize=None)
+def _variance_selector(kind, bits, group_size):
+    """The three selector shapes serving can hold: theoretical ranges,
+    ranges fitted to calibration groups, and an off-canonical set."""
+    if kind == "exotic":
+        return VarianceSelector(bits=bits, group_size=group_size,
+                                a_candidates=_EXOTIC_A)
+    sel = VarianceSelector(bits=bits, group_size=group_size)
+    if kind == "fitted":
+        rng = np.random.default_rng(bits * 100 + group_size)
+        # Heavy- and light-tailed groups so several coefficients win.
+        calib = rng.normal(size=(256, group_size))
+        calib *= rng.gamma(0.5, size=(256, 1)) ** rng.choice([0.5, 3.0], size=(256, 1))
+        calib[::7] = rng.uniform(-1, 1, size=calib[::7].shape)
+        sel.fit(calib)
+    return sel
+
+
+@given(
+    bits=st.sampled_from([2, 3, 4]),
+    group_size=st.sampled_from([32, 64]),
+    kind=st.sampled_from(["theoretical", "fitted", "exotic"]),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 150),
+    magnitude=st.sampled_from([1.0, 1e-3, 1e-8, 1e-30]),
+    zero_frac=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=120, deadline=None)
+def test_select_qdq_byte_equal_to_select_batch_then_qdq(bits, group_size, kind, rows,
+                                                        cols, magnitude, zero_frac, seed):
+    """The group-once entry is the coefficient-level composition, bit for
+    bit: padded tails, all-zero groups and fp16-underflowing scales
+    included, under canonical and off-canonical coefficient sets."""
+    rng = np.random.default_rng(seed)
+    sel = _variance_selector(kind, bits, group_size)
+    codec = MantCodec(bits=bits, group_size=group_size)
+    n_groups = -(-cols // group_size)
+    x = rng.normal(size=(rows, cols)) * rng.gamma(1.0, size=(rows, 1)) ** 2 * magnitude
+    dead = rng.random((rows, n_groups)) < zero_frac
+    x[np.repeat(dead, group_size, axis=1)[:, :cols]] = 0.0
+    ref = codec.qdq(x, sel.select_batch(to_groups(x, group_size).groups))
+    out = codec.select_qdq(x, sel)
+    assert out.shape == x.shape and out.tobytes() == ref.tobytes()
+    # Any leading shape groups the same last axis.
+    assert codec.select_qdq(x[None], sel).tobytes() == ref.tobytes()
+
+
+def test_select_qdq_follows_a_refit(rng):
+    """The selector's lazily resolved grid map is rebuilt when ``fit``
+    moves its ranges."""
+    sel = VarianceSelector(group_size=32)
+    codec = MantCodec(group_size=32)
+    x = rng.normal(size=(40, 32)) * rng.gamma(0.5, size=(40, 1)) ** 3
+    codec.select_qdq(x, sel)
+    sel.fit(rng.normal(size=(128, 32)) * rng.gamma(0.5, size=(128, 1)) ** 3)
+    ref = codec.qdq(x, sel.select_batch(to_groups(x, 32).groups))
+    assert codec.select_qdq(x, sel).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("a_set", [
+    _CANONICAL_SORTED,                        # the serving table
+    (17.0,),                                  # a uniform encode's table
+    tuple(sorted(_EXOTIC_A + [float(INT_A)])),
+])
+@pytest.mark.parametrize("bits", [2, 3, 4])
+def test_ladder_positions_match_binary_search(a_set, bits, rng):
+    """The bucket LUT is exact, including values sitting on a boundary,
+    one ulp either side of one, on a bucket edge and at ±1 and 0."""
+    ladder = _merged_ladder(a_set, bits)
+    b = ladder.boundaries
+    edges = -1.0 + np.arange(ladder.n_buckets + 1) * (2.0 / ladder.n_buckets)
+    values = np.concatenate([
+        b, np.nextafter(b, -2.0), np.nextafter(b, 2.0),
+        edges, np.nextafter(edges[1:], -2.0), [-1.0, -0.0, 0.0, 1.0],
+        rng.uniform(-1, 1, 5000), rng.normal(scale=0.05, size=5000).clip(-1, 1),
+    ])
+    assert np.array_equal(ladder.positions(values), np.searchsorted(b, values, side="left"))

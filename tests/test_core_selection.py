@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.codec import INT_A, MantCodec
 from repro.core.mant import MANT_WEIGHT_A_SET, MantGrid
@@ -9,6 +10,7 @@ from repro.core.selection import (
     GroupStats,
     MseSearchSelector,
     VarianceSelector,
+    _variance_lastaxis,
     group_stats,
 )
 
@@ -144,3 +146,19 @@ class TestVarianceSelector:
         sel.fit(np.ones((20, 16)))  # constant groups: degenerate
         assert sel._thresholds is not None
         assert len(sel._thresholds) >= 1 or np.array_equal(before, sel._thresholds)
+
+
+@given(
+    shape=st.lists(st.integers(1, 9), min_size=0, max_size=2).map(tuple),
+    g=st.sampled_from([1, 2, 7, 32, 64]),
+    magnitude=st.sampled_from([1.0, 1e-300, 1e150, 3.7e-8]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_variance_lastaxis_is_numpy_var_bytes(shape, g, magnitude, seed):
+    """The selector's variance must be numpy's to the last bit: a range
+    threshold compares against it, so one ulp can flip a coefficient."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape + (g,)) * magnitude + rng.choice([0.0, 5.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _variance_lastaxis(x).tobytes() == x.var(axis=-1).tobytes()

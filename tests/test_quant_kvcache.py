@@ -132,6 +132,39 @@ class TestMantCache:
         assert np.median(rel) < 0.1
 
 
+class TestFp16ScaleUnderflow:
+    """A nonzero absmax below the fp16 subnormal range rounds a scale to
+    0; the caches treat it like an all-zero group's (scale 1) instead of
+    dividing 0 by 0."""
+
+    def test_int_cache_tiny_token_quantizes_to_zeros(self, rng):
+        cache = IntKVCache(bits=4, group_size=32)
+        cache.prefill(*rng.normal(size=(2, 2, 8, 32)))
+        kt = np.zeros((2, 32))
+        kt[:, 0] = 1e-9
+        cache.append(kt, kt)
+        for out in (cache.keys(), cache.values()):
+            assert np.isfinite(out).all()
+            assert out[:, -1].tobytes() == np.zeros((2, 32)).tobytes()
+
+    def test_mant_cache_tiny_channel_stages_and_closes(self, rng):
+        cache = MantKVCache(group_size=32, window=32)
+        k, v = rng.normal(size=(2, 2, 40, 32))
+        v[:, :, 3] = 0.0
+        v[0, 5, 3] = 1e-9
+        cache.prefill(k, v)
+        assert cache.staging_fill == 8
+        assert np.isfinite(cache.values()).all()
+        assert not cache.values()[:, 32:, 3].any()
+        for _ in range(30):
+            kt, vt = rng.normal(size=(2, 2, 32))
+            vt[:, 3] = 0.0
+            cache.append(kt, vt)
+        assert cache.staging_fill == 6      # the staged window closed
+        assert np.isfinite(cache.values()).all()
+        assert not cache.values()[:, 64:, 3].any()
+
+
 class TestAppendValidation:
     """Shape drift must fail loudly at append, not as a buffer error."""
 

@@ -162,17 +162,18 @@ class TestPooledEqualsPerSegment:
 
 
 def test_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
-    """4 decode rows + 3 chunks: at most one K and one V qdq per layer,
-    one select for K, one per V source (chunk data, closing windows)."""
+    """4 decode rows + 3 chunks: one K ``select_qdq`` and one V
+    ``qdq_ids`` per layer, and none of the coefficient-level entries
+    (``select_batch`` / ``select_from_variances`` / ``qdq``) or the
+    code-level ones (``encode`` / ``decode``)."""
     model, _ = unit_model
     _, _, segs = build_tick(model)
-    calls = {"qdq": 0, "select_batch": 0, "select_from_variances": 0,
-             "encode": 0, "decode": 0}
+    calls = {"select_qdq": 0, "qdq_ids": 0, "qdq": 0, "select_batch": 0,
+             "select_from_variances": 0, "encode": 0, "decode": 0}
     depth = [0]
 
     def counting(owner, name):
-        # Outermost calls only: select_batch itself ends in
-        # select_from_variances.
+        # Outermost calls only: select_qdq itself ends in qdq_ids.
         fn = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
@@ -184,14 +185,14 @@ def test_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
                 depth[0] -= 1
         monkeypatch.setattr(owner, name, wrapped)
 
-    for name in ("qdq", "encode", "decode"):
+    for name in ("select_qdq", "qdq_ids", "qdq", "encode", "decode"):
         counting(MantCodec, name)
     for name in ("select_batch", "select_from_variances"):
         counting(VarianceSelector, name)
     model.forward_mixed(segs)
     n = model.config.n_layers
-    assert calls == {"qdq": 2 * n, "select_batch": 2 * n,
-                     "select_from_variances": n, "encode": 0, "decode": 0}
+    assert calls == {"select_qdq": n, "qdq_ids": n, "qdq": 0, "select_batch": 0,
+                     "select_from_variances": 0, "encode": 0, "decode": 0}
 
 
 class TestRejectBeforeAnyWrite:

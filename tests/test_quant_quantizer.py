@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datatypes.base import GridDataType
 from repro.datatypes.int_type import IntType
@@ -108,6 +109,66 @@ class TestIntTypeParity:
         # inf / inf warns on the way to the NaN that raises.
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
             GroupQuantizer(IntType(8), granularity, 32).qdq(x)
+
+
+def _generic_group_qdq(x, bits, group_size, axis, fp16_scales):
+    """Group-wise INT fake-quant the generic way: move the axis last, pad,
+    reshape, absmax, then encode → grid gather → multiply, and undo."""
+    moved = np.moveaxis(x, axis, -1)
+    n = moved.shape[-1]
+    pad = (-n) % group_size
+    padded = np.pad(moved, [(0, 0)] * (moved.ndim - 1) + [(0, pad)])
+    groups = padded.reshape(*moved.shape[:-1], -1, group_size)
+    itype = _GatherInt(bits)
+    scale = np.max(np.abs(groups), axis=-1, keepdims=True) / itype.grid_max
+    if fp16_scales:
+        scale = scale.astype(np.float16).astype(np.float64)
+    scale = np.where(scale == 0, 1.0, scale)
+    out = itype.qdq(groups, scale).reshape(*moved.shape[:-1], -1)[..., :n]
+    return np.moveaxis(out, -1, axis)
+
+
+@given(
+    bits=st.sampled_from([4, 8]),
+    group_size=st.sampled_from([8, 32, 64]),
+    shape=st.lists(st.integers(1, 70), min_size=1, max_size=3).map(tuple),
+    axis_pick=st.integers(0, 2),
+    fp16_scales=st.booleans(),
+    magnitude=st.sampled_from([1.0, 1e3, 1e-9, 1e-30]),
+    zero_frac=st.sampled_from([0.0, 0.4]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_group_int_qdq_byte_equal_to_generic_path(bits, group_size, shape, axis_pick,
+                                                  fp16_scales, magnitude, zero_frac, seed):
+    """The in-place INT path (reshape grouping on the last axis) is the
+    generic grouping + encode/decode path, bit for bit: last and other
+    axes, padded tails, zero groups and fp16-underflowing scales."""
+    rng = np.random.default_rng(seed)
+    axis = [-1, 0, len(shape) // 2][axis_pick]
+    x = rng.normal(size=shape) * magnitude
+    x[rng.random(shape) < zero_frac] = 0.0
+    gq = GroupQuantizer(IntType(bits), Granularity.GROUP, group_size,
+                        fp16_scales=fp16_scales)
+    out = gq.qdq(x, axis=axis)
+    ref = _generic_group_qdq(x, bits, group_size, axis, fp16_scales)
+    assert out.shape == x.shape and out.tobytes() == ref.tobytes()
+
+
+@given(
+    shape=st.lists(st.integers(1, 40), min_size=1, max_size=3).map(tuple),
+    axis_pick=st.integers(0, 1),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_group_int_qdq_raises_on_non_finite(shape, axis_pick, bad, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    x[tuple(rng.integers(0, d) for d in shape)] = bad
+    gq = GroupQuantizer(IntType(8), Granularity.GROUP, 32)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+        gq.qdq(x, axis=[-1, 0][axis_pick])
 
 
 class TestConfigDispatch:

@@ -6,7 +6,11 @@ prompt pages the hash-based prefix cache deduplicates.  *Reuse* is
 tokens prefilled divided by the tokens actually allocated for them
 (``block_tokens x freshly written prefill pages``).  Storage that
 re-materializes every prompt has reuse 1.0 by construction;
-``check_perf.py --check-speedups`` enforces >= 1.5x.
+``check_perf.py --check-speedups`` enforces >= 1.5x.  The same
+workload served by a chunked engine also measures *compute* reuse:
+prompt tokens over the tokens actually run through the model, since a
+chunked engine skips the prefill of the pages it matched (also gated
+at >= 1.5x).
 
 Run:  PYTHONPATH=src python benchmarks/bench_paged_kv.py
 """
@@ -82,6 +86,31 @@ def prefix_reuse(model, cache_name: str = "mant4"):
     return reuse, detail
 
 
+def prefix_compute_reuse(model, cache_name: str = "mant4"):
+    """Serve the shared-prefix workload chunked; return (reuse, detail).
+
+    *Compute reuse* is prompt tokens admitted over prompt tokens run
+    through the model (``EngineStats.prefill_tokens``): a chunked
+    engine skips the compute of prefix-cache pages it matched, so the
+    ratio is above 1.0 exactly when hits save prefill work, and it is a
+    count, not a timing.
+    """
+    engine = GenerationEngine(model, CACHE_FACTORIES[cache_name],
+                              ServeConfig.chunked(max_batch_size=BATCH))
+    requests = make_shared_prefix_requests(model.config.vocab_size)
+    results = engine.generate(requests)
+    stats = engine.stats()
+    reuse = stats.prompt_tokens / stats.prefill_tokens
+    detail = {
+        "prompt_tokens": stats.prompt_tokens,
+        "prefill_tokens": stats.prefill_tokens,
+        "prefix_hit_tokens": stats.prefix_hit_tokens,
+        "reuse": round(reuse, 2),
+        "requests_completed": len(results),
+    }
+    return reuse, detail
+
+
 def main():
     print("loading unit-test model ...")
     model, _ = get_model("unit-test")
@@ -96,6 +125,15 @@ def main():
         print(f"  {name:>6} | {detail['prefill_pages_hit']:3d}/"
               f"{detail['prefill_pages_total']:3d} prompt pages shared | "
               f"{detail['fresh_prefill_pages']:3d} fresh | reuse {reuse:5.2f}x")
+
+    report["prefix_compute_reuse"] = {}
+    print("\nshared-prefix prefill compute reuse (chunked, batch "
+          f"{BATCH}: prompt tokens / tokens run through the model)")
+    for name in CACHE_FACTORIES:
+        reuse, detail = prefix_compute_reuse(model, name)
+        report["prefix_compute_reuse"][name] = detail
+        print(f"  {name:>6} | {detail['prompt_tokens']:5d} prompt tokens | "
+              f"{detail['prefill_tokens']:5d} computed | reuse {reuse:5.2f}x")
 
     out = os.path.join(os.path.dirname(__file__), "..", "artifacts", "results")
     os.makedirs(out, exist_ok=True)

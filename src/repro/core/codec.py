@@ -319,10 +319,22 @@ def _merged_ladder(a_tuple: tuple, bits: int) -> _MergedLadder:
 
 
 def _group_absmax(groups: np.ndarray) -> np.ndarray:
-    """Per-group absmax with all-zero groups mapped to scale base 1."""
-    amax = np.abs(groups).max(axis=-1)
-    amax[amax == 0] = 1.0
-    return amax
+    """Per-group absmax (0 for an all-zero group)."""
+    return np.abs(groups).max(axis=-1)
+
+
+def _scale_base(amax: np.ndarray) -> np.ndarray:
+    """The normalization divisor: ``amax`` with all-zero groups mapped
+    to 1, returned as ``amax`` itself when no group is all zero.
+
+    A MANT grid has no zero level (its smallest magnitude is
+    ``a·0 + 2^0``), so an all-zero group would snap to the smallest
+    negative level; callers seeing a new array (``base is not amax``)
+    give those groups a zero scale and read them back as +0.
+    """
+    if np.count_nonzero(amax) == amax.size:     # the cheap common case
+        return amax
+    return np.where(amax == 0, 1.0, amax)
 
 
 @dataclass(frozen=True)
@@ -474,13 +486,17 @@ class MantCodec:
         :mod:`repro.core.selection`; this method only applies it.
         """
         view, a_per_group, st, gid, amax = self._locate(w, a_per_group)
+        base = _scale_base(amax)
         # One bucketized lookup against the merged boundary ladder
         # locates every value in every selected grid simultaneously; the
         # per-group grid choice is then a LUT gather by ``(gid, pos)``.
-        pos = st.ladder.positions(view.groups / amax[..., None])
+        pos = st.ladder.positions(view.groups / base[..., None])
         sign = self._flat_gather(st.pos_sign, gid, pos)
         magnitude = self._flat_gather(st.pos_magnitude, gid, pos)
+        # An all-zero group stores scale 0 (and + signs: decodes to +0).
         scale = self._round_scale(amax / st.grid_max[gid])
+        if base is not amax:
+            sign[amax == 0] = 1
         # Freshly allocated here — freeze now so MantEncoded skips its
         # defensive copy (reserved for caller-supplied arrays).
         for arr in (sign, magnitude, scale):
@@ -510,8 +526,7 @@ class MantCodec:
 
         ``codes`` holds per-element indices into each group's grid
         (shape ``(rows, n_groups, group_size)``), ``amax`` the per-group
-        absmax with zero groups already replaced by 1 — exactly what the
-        fused select+encode search in
+        absmax — exactly what the fused select+encode search in
         :meth:`repro.core.selection.MseSearchSelector.select_and_encode`
         produces.  No nearest-point search happens here; the codes are
         only gathered through the sign/magnitude LUTs, so the result is
@@ -522,6 +537,8 @@ class MantCodec:
         sign = self._flat_gather(st.grid_sign, gid, codes)
         magnitude = self._flat_gather(st.grid_magnitude, gid, codes)
         scale = self._round_scale(amax / st.grid_max[gid])
+        if np.count_nonzero(amax) < amax.size:
+            sign[amax == 0] = 1        # all-zero group: scale 0, decodes to +0
         # Freshly allocated here — freeze now so MantEncoded skips its
         # defensive copy (reserved for caller-supplied arrays).
         for arr in (sign, magnitude, scale):
@@ -556,21 +573,25 @@ class MantCodec:
     # ------------------------------------------------------------------
     # Fake quantization: one head per way of choosing the grids, one tail
     # ------------------------------------------------------------------
-    def _qdq_tail(self, groups, amax, st: _StackedTables, gid) -> np.ndarray:
+    def _qdq_tail(self, groups, amax, base, st: _StackedTables, gid) -> np.ndarray:
         """Ladder positions → one ``pos_value`` gather → × fp16 scale.
 
-        ``groups`` is ``(..., g)``, ``amax`` its :func:`_group_absmax`
-        and ``gid`` the per-group grid id into ``st``.  Byte-equal to
+        ``groups`` is ``(..., g)``, ``amax`` its :func:`_group_absmax`,
+        ``base`` that absmax's :func:`_scale_base` and ``gid`` the
+        per-group grid id into ``st``.  Byte-equal to
         ``decode(encode())`` under the same grids: the positions select
         ``pos_value`` — the level ``decode`` would compute from the
         gathered sign-magnitude code — and the same fp16 scale
         multiplies it, but no codes or :class:`MantEncoded` are built.
+        An all-zero group reads back as +0.
         """
-        lin = st.ladder.positions(groups / amax[..., None])
+        lin = st.ladder.positions(groups / base[..., None])
         if st.n_grids > 1:
             lin += (gid * st.pos_value.shape[1])[..., None]
         vals = st.pos_value.take(lin)
-        vals *= self._round_scale(amax / st.grid_max[gid])[..., None]
+        vals *= self._round_scale(base / st.grid_max[gid])[..., None]
+        if base is not amax:
+            vals[amax == 0] = 0.0
         return vals
 
     def qdq(self, w: np.ndarray, a_per_group: np.ndarray) -> np.ndarray:
@@ -578,7 +599,8 @@ class MantCodec:
         coefficients, as one level gather; byte-equal to
         ``decode(encode(w, a_per_group))``."""
         view, _, st, gid, amax = self._locate(w, a_per_group)
-        return from_groups(view, self._qdq_tail(view.groups, amax, st, gid))
+        return from_groups(
+            view, self._qdq_tail(view.groups, amax, _scale_base(amax), st, gid))
 
     def select_qdq(self, x: np.ndarray, selector) -> np.ndarray:
         """Variance-select then fake-quantize, grouping once.
@@ -592,14 +614,17 @@ class MantCodec:
         """
         view = to_groups(np.asarray(x, dtype=np.float64), self.group_size, axis=-1)
         amax = _group_absmax(view.groups)
-        ids = selector.batch_ids(view.groups, amax)
-        return from_groups(view, self.qdq_ids(view.groups, amax, selector, ids))
+        base = _scale_base(amax)
+        ids = selector.batch_ids(view.groups, base)
+        return from_groups(view, self.qdq_ids(view.groups, amax, selector, ids, base))
 
-    def qdq_ids(self, groups, amax, selector, ids) -> np.ndarray:
+    def qdq_ids(self, groups, amax, selector, ids, base=None) -> np.ndarray:
         """The :meth:`qdq` tail for groups whose grids are ``selector``
         range ids (any source: the groups' own variance, or streaming
-        accumulators); ``amax`` is the groups' :func:`_group_absmax`."""
+        accumulators); ``amax`` is the groups' :func:`_group_absmax`,
+        ``base`` its :func:`_scale_base` when the caller holds it."""
         key, grid_ids = selector.grid_map()
         return self._qdq_tail(
-            groups, amax, _stacked_tables(key, self.bits), grid_ids.take(ids)
+            groups, amax, _scale_base(amax) if base is None else base,
+            _stacked_tables(key, self.bits), grid_ids.take(ids),
         )

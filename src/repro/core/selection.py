@@ -51,6 +51,7 @@ from repro.core.codec import (
     _CANONICAL_ARRAY,
     _CANONICAL_SORTED,
     _group_absmax,
+    _scale_base,
     _stacked_tables,
 )
 from repro.core.groups import to_groups
@@ -211,7 +212,8 @@ class MseSearchSelector:
         n_cand = len(candidates)
 
         amax = _group_absmax(groups)
-        vnorm = groups / amax[..., None]
+        base = _scale_base(amax)
+        vnorm = groups / base[..., None]
         pos = tab.ladder.positions(vnorm)
 
         g = groups.shape[-1]
@@ -251,7 +253,7 @@ class MseSearchSelector:
             # (chunk, n_cand): Σw·r² − 2·Σw·v·r per candidate.
             quad = hist_w @ tab.recon_sq_table.T - 2.0 * (hist_wv @ tab.recon_table.T)
             errs[:, s:e] = quad.T + const[s:e]
-        errs *= (amax.reshape(m) ** 2 / g)[None, :]
+        errs *= (base.reshape(m) ** 2 / g)[None, :]
         return errs.reshape((n_cand,) + groups.shape[:-1]), candidates, pos, amax
 
     def _candidate_errors(
@@ -476,13 +478,13 @@ class VarianceSelector:
     def batch_ids(self, groups: np.ndarray, amax: np.ndarray | None = None) -> np.ndarray:
         """Range index per ``(..., group_size)`` group.
 
-        ``amax`` is the per-group absmax with zero groups mapped to 1
-        (:func:`repro.core.codec._group_absmax`), passed by callers that
+        ``amax`` is the per-group absmax with all-zero groups mapped to
+        1 (:func:`repro.core.codec._scale_base`), passed by callers that
         already hold it so a quantize computes it once.
         """
         g = np.asarray(groups, dtype=np.float64)
         if amax is None:
-            amax = _group_absmax(g)
+            amax = _scale_base(_group_absmax(g))
         return self.variance_ids(_variance_lastaxis(g) / (amax * amax))
 
     def grid_map(self) -> tuple[tuple, np.ndarray]:

@@ -40,8 +40,12 @@ class IntType(GridDataType):
         ``decode(encode(v))`` is ``round_clip(v)`` — except that ``rint``
         keeps the sign of ``-0.0`` where the grid holds ``+0.0``; adding
         ``0.0`` restores the grid value, so the bytes match the generic
-        encode/decode path exactly.  NaN in ``x / scale`` (NaN or ±inf
-        input under absmax scaling) has no grid point and raises.
+        encode/decode path exactly.  A NaN in the result has no grid
+        point and raises: it comes from NaN or ±inf input under absmax
+        scaling, or from a scale that overflowed to inf (an fp16 scale
+        of a group absmax above 65504·qmax: its values quantize to 0,
+        and 0 × inf is NaN).  The check runs once, on the result, so it
+        costs the hot path nothing beyond the NaN check it always had.
 
         Every step after the divide runs in place on the quotient
         temporary, so the activation hot path allocates one array.
@@ -52,10 +56,12 @@ class IntType(GridDataType):
         q = np.asarray(x / scale)
         np.rint(q, out=q)
         np.clip(q, -self.qmax, self.qmax, out=q)
-        if np.isnan(q).any():
-            raise ValueError("cannot quantize NaN (NaN or infinite input)")
         q += 0.0
         q *= scale
+        if np.isnan(q).any():
+            raise ValueError(
+                "cannot quantize NaN (NaN or infinite input, or a scale "
+                "that overflows fp16)")
         return q
 
     def round_clip(self, scaled: np.ndarray) -> np.ndarray:

@@ -49,13 +49,17 @@ pages, with hash-based prompt-prefix sharing and copy-on-write.  Every
 cache class here runs unchanged over either a private
 :class:`TokenBuffer` or pages — the quantization math never sees the
 layout, which is what makes paged caches bit-identical to flat ones.
+A cache over pages can also start part-way into a prompt whose first
+pages another sequence wrote (:meth:`KVCache.adopt_prefix`), taking
+that writer's :meth:`KVCache.prefix_state` — for MANT, the running V
+channel maxima the staging scales are fixed from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.codec import MantCodec, INT_A, _group_absmax
+from repro.core.codec import MantCodec, INT_A, _group_absmax, _scale_base
 from repro.core.groups import to_groups, from_groups
 from repro.core.selection import VarianceSelector
 from repro.datatypes.int_type import IntType
@@ -215,6 +219,29 @@ class KVCache:
         for cache, k, v, final in chunks:
             cache.prefill_chunk(k, v, final=final)
 
+    def prefix_state(self, n_tokens: int):
+        """State besides the K/V pages that a sequence adopting this
+        cache's first ``n_tokens`` prompt tokens needs, or ``None``.
+
+        Read after the prefill that wrote those tokens and before
+        :meth:`drop_prefix_state`; ``n_tokens`` is a page boundary of
+        that prefill.  Caches whose prompt pages are a pure function of
+        the tokens (FP16, INT) carry none.
+        """
+        return None
+
+    def adopt_prefix(self, n_tokens: int, heads: int, d_head: int, state) -> None:
+        """Start an empty cache ``n_tokens`` into a prompt whose K/V
+        pages another sequence already wrote (prefix-cache pages, sealed
+        against writes), in exactly the state a chunked prefill has
+        after its chunk ending at ``n_tokens``.  ``state`` is the donor's
+        :meth:`prefix_state` for those tokens."""
+        raise NotImplementedError
+
+    def drop_prefix_state(self) -> None:
+        """Free what :meth:`prefix_state` reads (the prefill's pages are
+        registered, or the sequence is released)."""
+
     def keys(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -253,6 +280,14 @@ class _BufferedKVCache(KVCache):
         else:
             self._k = self._buffer_factory("k", heads, d_head, capacity)
             self._v = self._buffer_factory("v", heads, d_head, capacity)
+
+    def adopt_prefix(self, n_tokens, heads, d_head, state):
+        if self._k is not None or self._buffer_factory is None:
+            raise RuntimeError(
+                "adopt_prefix needs an empty cache over pooled pages")
+        self._reset_buffers(heads, d_head, n_tokens)
+        self._k.adopt(n_tokens)
+        self._v.adopt(n_tokens)
 
     def _validate_token(self, name: str, arr: np.ndarray) -> None:
         """Reject appends whose head geometry drifts from the cache's.
@@ -314,14 +349,26 @@ class FP16KVCache(_BufferedKVCache):
         self._v.append(v_t)
 
 
+# The smallest float64 that rounds to inf in fp16 (65504 is the largest
+# finite value; the tie at 65520 rounds to the even neighbour, 2^16).
+_FP16_OVERFLOW = 65520.0
+
+
 def _fp16_nonzero(scale: np.ndarray) -> np.ndarray:
     """Round scales to fp16; a zero fp16 scale becomes 1.
 
     :meth:`repro.quant.quantizer.GroupQuantizer._round_scale`'s rule: a
     scale is zero for an all-zero group or for a nonzero absmax below
     the fp16 subnormal range, and scale 1 quantizes either to zeros
-    instead of dividing 0 by 0.
+    instead of dividing 0 by 0.  A scale that would overflow fp16 (an
+    absmax above about 65504·qmax) raises ``ValueError``, as NaN/inf
+    input does, instead of dequantizing its group to NaN; the check
+    reads the per-group scales, not the tensor.
     """
+    if scale.max(initial=0.0) >= _FP16_OVERFLOW:
+        raise ValueError(
+            "cannot quantize: a scale overflows fp16 (absmax above "
+            "65504 x qmax, or infinite input) and would dequantize to NaN")
     scale = scale.astype(np.float16).astype(np.float64)
     return np.where(scale == 0, 1.0, scale)
 
@@ -459,6 +506,11 @@ class MantKVCache(_BufferedKVCache):
         # Channel maxima accumulated across prefill chunks; non-None
         # exactly while a chunked prefill is in flight.
         self._chunk_ch_max: np.ndarray | None = None
+        # The prefill's cumulative raw-V channel maxima at the end of
+        # each full window it computed (entry w: window w; None for
+        # adopted windows), kept until drop_prefix_state: what
+        # prefix_state hands a sequence adopting this prompt's pages.
+        self._win_max: list | None = None
 
     # ------------------------------------------------------------------
     # Shared: variance-selected MANT fake-quant along the last axis
@@ -522,6 +574,37 @@ class MantKVCache(_BufferedKVCache):
         self._k = self._v = None
         self._stage_scale = self._chunk_ch_max = None
         self.prefill_chunk(k, v, final=True)
+
+    def prefix_state(self, n_tokens):
+        """The cumulative raw-V channel maxima through ``n_tokens`` —
+        the staging scales of Fig. 8 come from the *whole* prompt's
+        maxima, so a sequence skipping this prefix inherits them."""
+        w, rest = divmod(n_tokens, self.window)
+        wins = self._win_max or ()
+        state = wins[w - 1] if not rest and 0 < w <= len(wins) else None
+        if state is None:
+            raise ValueError(
+                f"no prefill channel maxima recorded through token {n_tokens}")
+        return state
+
+    def adopt_prefix(self, n_tokens, heads, d_head, state):
+        """Mid-prefill state at ``n_tokens``: every V window final, the
+        window accumulators zero, no staging scales yet, and the channel
+        maxima so far taken from the donor (copied: its pool row is
+        rewritten once the page is evicted)."""
+        if n_tokens % self.window:
+            raise ValueError(
+                f"adopted prefix of {n_tokens} tokens is not a multiple of "
+                f"the MANT V-cache window ({self.window})")
+        super().adopt_prefix(n_tokens, heads, d_head, state)
+        self._v_final = n_tokens
+        self._reset_window(heads, d_head)
+        self._stage_scale = None
+        self._chunk_ch_max = np.array(state, dtype=np.float64)
+        self._win_max = [None] * (n_tokens // self.window)
+
+    def drop_prefix_state(self):
+        self._win_max = None
 
     def prefill_chunk(self, k, v, final=False):
         """One window-aligned slice of a chunked prompt prefill.
@@ -658,6 +741,7 @@ class MantKVCache(_BufferedKVCache):
             # (n_windows·channels, 1, window): one group per row.
             groups = np.concatenate(rows)[:, None, :]
             amax = _group_absmax(groups)
+            base = _scale_base(amax)
             n_close = sum(c._v.heads for c in closing) * d_head
             ids = []
             if closing:
@@ -672,9 +756,9 @@ class MantKVCache(_BufferedKVCache):
                 ids.append(first.selector.variance_ids(norm_var).reshape(-1, 1))
             if n_close < len(groups):
                 # ... prompt windows from their data.
-                ids.append(first.selector.batch_ids(groups[n_close:], amax[n_close:]))
+                ids.append(first.selector.batch_ids(groups[n_close:], base[n_close:]))
             vout = first._codec.qdq_ids(
-                groups, amax, first.selector, np.concatenate(ids)
+                groups, amax, first.selector, np.concatenate(ids), base
             ).reshape(-1, window)
 
         # -- closed windows: 4-bit MANT in place ---------------------
@@ -696,10 +780,23 @@ class MantKVCache(_BufferedKVCache):
                 c._v_final = 0
                 c._reset_window(heads, d_head)
                 c._chunk_ch_max = np.zeros((heads, d_head))
+                c._win_max = []
             c._k.append(kq[k_off:k_off + heads * t].reshape(heads, t, d_head))
             k_off += heads * t
-            np.maximum(c._chunk_ch_max, np.max(np.abs(v), axis=1), out=c._chunk_ch_max)
+            v_abs = np.abs(v)
             full = (t // window) * window
+            if full:
+                # Running channel maxima at each full window's end (the
+                # last is the chunk's running max over its full windows).
+                w_max = v_abs[:, :full].reshape(
+                    heads, full // window, window, d_head).max(axis=2)
+                np.maximum(w_max[:, 0], c._chunk_ch_max, out=w_max[:, 0])
+                np.maximum.accumulate(w_max, axis=1, out=w_max)
+                c._win_max.extend(w_max.transpose(1, 0, 2))
+                c._chunk_ch_max = w_max[:, -1].copy()
+            if full < t:
+                np.maximum(c._chunk_ch_max, v_abs[:, full:].max(axis=1),
+                           out=c._chunk_ch_max)
             if full:
                 out = vout[off:off + heads * (full // window) * d_head]
                 off += out.shape[0]

@@ -83,7 +83,9 @@ class GroupQuantizer:
 
         A zero scale comes from an all-zero group or from a nonzero
         absmax below the fp16 subnormal range.  Scale 1 dequantizes
-        either kind of group to zeros instead of dividing by zero.
+        either kind of group to zeros instead of dividing by zero.  A
+        scale that overflows fp16 becomes inf, and its group's NaN
+        makes :meth:`~repro.datatypes.int_type.IntType.qdq` raise.
         """
         if self.fp16_scales:
             scale = scale.astype(np.float16).astype(np.float64)

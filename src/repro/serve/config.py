@@ -59,7 +59,8 @@ class ServeConfig:
         preemption under memory pressure.
     ``enable_prefix_cache``
         Deduplicate identical full prompt-prefix pages across requests
-        (hash-chained, copy-on-write protected).
+        (hash-chained, copy-on-write protected).  Chunked engines also
+        skip the prefill compute of the pages a request matched.
 
     Chunked prefill (the mixed prefill+decode tick):
 

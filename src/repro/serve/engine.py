@@ -268,6 +268,7 @@ class EngineStats:
     ttft_p95_s: float
     inter_token_p50_s: float      # gap between consecutive tokens of one request
     inter_token_p95_s: float
+    prompt_tokens: int = 0        # prompt tokens admitted: computed + skipped
 
     # Stats-field -> registry-metric-name contract.  Every field listed
     # here is, by construction, a verbatim read of that metric's current
@@ -295,6 +296,7 @@ class EngineStats:
         "prefix_hit_tokens": "prefix_hit_tokens",
         "prefill_chunks": "prefill_chunks",
         "prefill_tokens": "prefill_tokens",
+        "prompt_tokens": "prompt_tokens",
         "elapsed_s": "engine_busy_seconds",
         "wall_elapsed_s": "wall_seconds",
     }
@@ -310,7 +312,8 @@ class EngineStats:
         dashboard wants precomputed: ``tokens_per_s``,
         ``occupancy_pct`` (mean decode occupancy over ``batch_lanes``),
         ``prefix_hit_ratio`` (prompt tokens whose pages came from the
-        prefix cache, over all prompt tokens prefilled) and
+        prefix cache, over all prompt tokens admitted — computed or
+        skipped) and
         ``retry_rate`` (transient-fault replays per submitted request).
         Zero denominators yield ``0.0``, never a division error.
         """
@@ -327,8 +330,8 @@ class EngineStats:
                 if self.batch_lanes else 0.0
             ),
             "prefix_hit_ratio": (
-                self.prefix_hit_tokens / self.prefill_tokens
-                if self.prefill_tokens else 0.0
+                self.prefix_hit_tokens / self.prompt_tokens
+                if self.prompt_tokens else 0.0
             ),
             "retry_rate": (
                 self.retries / self.requests_submitted
@@ -466,6 +469,9 @@ class GenerationEngine:
             "prefill_chunks", "Prompt chunks run in mixed ticks")
         self._prefill_tokens = m.counter(
             "prefill_tokens", "Prompt tokens actually run through the model")
+        self._prompt_tokens = m.counter(
+            "prompt_tokens", "Prompt tokens admitted (computed + skipped "
+            "by prefix-cache hits; replays included)")
         # Latency histograms: log-scale buckets for the exposition plus a
         # bounded exact reservoir (LATENCY_WINDOW samples) so the
         # EngineStats percentiles stay bit-identical to the pre-registry
@@ -805,9 +811,10 @@ class GenerationEngine:
 
         Unchunked (``prefill_chunk_tokens is None``): admitted prompts
         prefill whole at admission (``model.prefill``).  Chunked:
-        admission only leases cache storage and opens a
-        :class:`~repro.serve.request.PrefillCursor`, and the tick's
-        token budget picks prompt chunks.  Either way the tick then
+        admission only leases cache storage, adopts the prefix-cache
+        pages it matched (their compute is skipped) and opens a
+        :class:`~repro.serve.request.PrefillCursor` after them, and the
+        tick's token budget picks prompt chunks.  Either way the tick then
         packs every decode row plus any chunks into one
         ``forward_mixed`` call — a decode-only tick is all-``DECODE``
         segments — token-identical to the single-stream loop.
@@ -879,10 +886,17 @@ class GenerationEngine:
                 self._fire(ALLOC, seq)
                 seq.lease = self.pool.acquire(self._cache_factory)
                 seq.lease.match_prefix(ids)
+                self._prompt_tokens.inc(int(ids.size))
                 if chunked:
-                    # No forward yet — the prompt enters the chunk queue.
+                    # No forward yet — the prompt enters the chunk queue,
+                    # past the matched pages whose compute it skips (all
+                    # but the last prompt token, which yields logits).
+                    bt = self.pool.block_tokens
+                    skip = min(seq.lease.sealed_tokens,
+                               (ids.size - 1) // bt * bt)
+                    seq.lease.adopt_prefix(skip)
                     seq.pending_ids = ids
-                    seq.cursor = PrefillCursor(ids.size)
+                    seq.cursor = PrefillCursor(ids.size, start=skip)
                     continue
                 self._fire(FORWARD, seq)
                 with self._tracer.span("forward"):
@@ -1217,7 +1231,8 @@ class GenerationEngine:
         self._release_storage(seq)
         # Discard any chunked-prefill progress: the evicted pages are
         # gone, so resume must rebuild a cursor over the whole (by then
-        # grown) prompt via prefill_len and replay it from token zero.
+        # grown) prompt via prefill_len and replay it from the first
+        # page the prefix cache no longer matches.
         seq.cursor = None
         seq.pending_ids = None
         # Mid-prefill victims emitted nothing yet — their re-admission
@@ -1682,6 +1697,7 @@ class GenerationEngine:
             prefix_hit_tokens=self._g_prefix_hits.value,
             prefill_chunks=self._prefill_chunks.value,
             prefill_tokens=self._prefill_tokens.value,
+            prompt_tokens=self._prompt_tokens.value,
             ttft_p50_s=self._ttfts.percentile(50),
             ttft_p95_s=self._ttfts.percentile(95),
             inter_token_p50_s=self._itls.percentile(50),

@@ -29,7 +29,11 @@ uses vLLM/mlc-llm-style paging instead:
   — necessary because K/V content at position ``p`` depends on the whole
   token prefix through the transformer).  A matching request attaches
   the donor's blocks (ref-count++), suppresses its own writes over the
-  sealed region, and starts writing at the first divergent page.
+  sealed region, and starts writing at the first divergent page.  A
+  chunked engine also skips their compute (:meth:`PagedLease.
+  adopt_prefix`): besides the pages, a MANT cache needs the donor's
+  running V channel maxima, which the donor registers with each page
+  in a per-layer side slab of the pool.
 * **Copy-on-write** — any write (append or in-place V-window finalize)
   to a block with more than one reference first clones the block across
   every slab, so :meth:`PagedLease.fork` gives cheap sequence clones
@@ -45,7 +49,11 @@ Correctness invariants (gated by ``tests/test_serve_paging.py``):
   function of the token prefix: K rows are quantized per token, and
   full V windows are quantized directly from window data (the per-
   sequence INT8 staging scale only ever touches the partial tail page,
-  which is never shared).
+  which is never shared).  A sequence that skips the shared prefix's
+  compute takes the staging scale's channel maxima through that prefix
+  from the donor: bitwise equal to its own full prefill at model level,
+  token-identical in the engine (where the donor's packed GEMMs may
+  differ in the last ulp), the same level its shared pages have.
 * ``block_tokens`` must be a multiple of the MANT V window so temporal
   groups never straddle pages (:func:`validate_block_compat` enforces
   this); the in-place window finalize then always lands inside one
@@ -322,7 +330,8 @@ class BlockPool:
                     )
 
     def clone_block(self, src: int) -> int:
-        """Copy-on-write clone: duplicate ``src`` across every slab."""
+        """Copy-on-write clone: duplicate ``src`` across every slab (the
+        prefix-state slabs included)."""
         dst = self.allocate()
         for slab in self._slabs.values():
             slab[:, dst] = slab[:, src]
@@ -374,12 +383,18 @@ class BlockPool:
             matched += 1
         return matched
 
-    def register(self, page_hash: bytes, block_id: int) -> int:
+    def register(self, page_hash: bytes, block_id: int, states=None) -> int:
         """Publish a full page for sharing; returns 1 if newly registered.
 
         First writer wins: a hash already mapped (or a block already
         hashed) is left alone, so registered content is immutable for
-        the mapping's lifetime.
+        the mapping's lifetime.  ``states`` (one per layer, ``None`` for
+        caches that carry none) is the writer's
+        :meth:`~repro.quant.kvcache.KVCache.prefix_state` through the
+        page's end.  It is stored in the block's row of a per-layer
+        side slab, and it lives and dies with the registration: only a
+        registered block's row is read (:meth:`prefix_state`), and every
+        registration rewrites it.
         """
         if not self.enable_prefix_cache:
             return 0
@@ -387,7 +402,18 @@ class BlockPool:
             return 0
         self._block_of_hash[page_hash] = block_id
         self._hash_of_block[block_id] = page_hash
+        for layer, state in enumerate(states or ()):
+            if state is not None:
+                self._state_slab(layer, state.shape)[:, block_id] = state
         return 1
+
+    def prefix_state(self, layer: int, block_id: int):
+        """``layer``'s prefix state stored with registered ``block_id``
+        (``None`` when the pool's caches carry none)."""
+        if block_id not in self._hash_of_block:
+            raise RuntimeError(f"block {block_id} holds no registered prefix")
+        slab = self._slabs.get((layer, "state"))
+        return None if slab is None else slab[:, block_id]
 
     def page_hashes(self, ids: np.ndarray):
         """Yield the chained SHA-256 digest of every *full* page of ``ids``.
@@ -422,6 +448,17 @@ class BlockPool:
                 f"layer {layer} {role}-cache geometry ({heads}, {d_head}) does "
                 f"not match the pool's ({slab.shape[0]}, {slab.shape[3]})"
             )
+        return slab
+
+    def _state_slab(self, layer: int, shape: tuple) -> np.ndarray:
+        """The ``(shape[0], num_blocks, *shape[1:])`` side slab holding
+        one prefix state per block (created at the first registration
+        that carries one).  Kept in ``_slabs`` with the K/V slabs, so
+        copy-on-write clones copy it and byte counts include it."""
+        slab = self._slabs.get((layer, "state"))
+        if slab is None:
+            slab = np.empty((shape[0], self.num_blocks, *shape[1:]))
+            self._slabs[(layer, "state")] = slab
         return slab
 
     def _buffer_factory(self, lease: "PagedLease", layer: int):
@@ -513,10 +550,12 @@ class PagedTokenBuffer:
     """:class:`~repro.quant.kvcache.TokenBuffer`-compatible facade over
     non-contiguous pool pages.
 
-    ``sealed`` positions (a prefix-cache hit) already hold bit-identical
-    content written by the donor, so appends over them advance the
-    length without writing — the caller's prefill math is unchanged,
-    only the redundant stores are dropped.
+    ``sealed`` positions are the pages a prefix-cache match attached:
+    they already hold the donor's content and are never written.  A
+    sequence that skips their compute starts at :meth:`adopt`; one
+    that runs them anyway (the unchunked admission prefill, and the
+    last matched page when the whole prompt matched) appends over them,
+    which advances the length without a store.
     """
 
     __slots__ = ("_pool", "_table", "_slab", "_flat", "_len", "_sealed")
@@ -568,6 +607,13 @@ class PagedTokenBuffer:
             self._slab[:, bid, off : off + chunk, :] = block[:, i : i + chunk, :]
             self._len += chunk
             i += chunk
+
+    def adopt(self, n: int) -> None:
+        """Take the first ``n`` sealed tokens as written, storing nothing."""
+        if self._len or n > self._sealed:
+            raise ValueError(f"cannot adopt {n} tokens: length {self._len}, "
+                             f"{self._sealed} sealed")
+        self._len = n
 
     def view(self) -> "PagedView":
         """Lazy read-only view over the live pages.
@@ -692,6 +738,15 @@ class PagedKVCache(KVCache):
     def append(self, k_t, v_t):
         self.inner.append(k_t, v_t)
 
+    def prefix_state(self, n_tokens):
+        return self.inner.prefix_state(n_tokens)
+
+    def adopt_prefix(self, n_tokens, heads, d_head, state):
+        self.inner.adopt_prefix(n_tokens, heads, d_head, state)
+
+    def drop_prefix_state(self):
+        self.inner.drop_prefix_state()
+
     def keys(self):
         return self.inner.keys()
 
@@ -739,10 +794,13 @@ class PagedLease:
     ``caches`` holds one :class:`PagedKVCache` per model layer, all
     sharing one :class:`PageTable`.  The prefix-cache protocol is:
     :meth:`match_prefix` *before* the model prefill (attaches shared
-    pages and seals them against redundant writes), then
-    :meth:`register_prefix` *after* it (publishes the freshly written
-    full pages).  :meth:`release` returns the slot when the request
-    finishes or is preempted.
+    pages and seals them against writes), optionally
+    :meth:`adopt_prefix` (the prefill then starts after the adopted
+    pages instead of recomputing them), then :meth:`register_prefix`
+    *after* it (publishes the freshly written full pages with each
+    layer's prefix state).  :meth:`release` returns the slot when the
+    request finishes or is preempted; a preempted sequence's next
+    lease matches again and resumes from its first unmatched page.
     """
 
     __slots__ = ("pool", "table", "caches", "active", "sealed_tokens",
@@ -784,17 +842,43 @@ class PagedLease:
         self.pool.prefix_hit_tokens += self.sealed_tokens
         return self.sealed_tokens
 
+    def adopt_prefix(self, n_tokens: int) -> None:
+        """Skip the compute of the first ``n_tokens`` sealed tokens.
+
+        Every layer's cache starts ``n_tokens`` in, in the state a
+        chunked prefill has after its chunk ending there, taking the
+        prefix state the donor registered with the last adopted page
+        (:meth:`BlockPool.prefix_state`).  ``n_tokens`` must be a whole
+        number of matched pages; 0 is a no-op.
+        """
+        if not n_tokens:
+            return
+        bt = self.pool.block_tokens
+        if n_tokens % bt or n_tokens > self.sealed_tokens:
+            raise ValueError(f"cannot adopt {n_tokens} tokens: not whole "
+                             f"pages within the {self.sealed_tokens} sealed")
+        bid = self.table.blocks[n_tokens // bt - 1]
+        for layer, cache in enumerate(self.caches):
+            heads, _, _, d_head = self.pool._slabs[(layer, "k")].shape
+            cache.adopt_prefix(n_tokens, heads, d_head,
+                               self.pool.prefix_state(layer, bid))
+
     def register_prefix(self, ids: np.ndarray) -> int:
-        """Publish this sequence's freshly written full prompt pages."""
-        if not self.pool.enable_prefix_cache:
-            return 0
+        """Publish this sequence's freshly written full prompt pages,
+        each with every layer's prefix state through its end, then free
+        the caches' record of those states."""
         registered = 0
-        for i, h in enumerate(self.pool.page_hashes(ids)):
-            if i < self._matched_pages:
-                continue               # already shared, donor registered it
-            if i >= self.table.n_pages:
-                break                  # prefill wrote less than ids (caller bug)
-            registered += self.pool.register(h, self.table.blocks[i])
+        if self.pool.enable_prefix_cache:
+            bt = self.pool.block_tokens
+            for i, h in enumerate(self.pool.page_hashes(ids)):
+                if i < self._matched_pages:
+                    continue           # already shared, donor registered it
+                if i >= self.table.n_pages:
+                    break              # prefill wrote less than ids (caller bug)
+                states = [c.prefix_state((i + 1) * bt) for c in self.caches]
+                registered += self.pool.register(h, self.table.blocks[i], states)
+        for cache in self.caches:
+            cache.drop_prefix_state()
         return registered
 
     # ------------------------------------------------------------------
@@ -828,9 +912,9 @@ class PagedLease:
             # staging scales, mid-prefill chunk maxima) must not alias
             # the parent's.
             for attr in ("_acc_sum", "_acc_sqsum", "_acc_max", "_stage_scale",
-                         "_chunk_ch_max"):
+                         "_chunk_ch_max", "_win_max"):
                 val = getattr(inner, attr, None)
-                if isinstance(val, np.ndarray):
+                if isinstance(val, (np.ndarray, list)):
                     setattr(inner, attr, val.copy())
             inner._buffer_factory = self.pool._buffer_factory(clone, layer)
             clone.caches.append(PagedKVCache(inner, table))
@@ -844,3 +928,5 @@ class PagedLease:
             raise RuntimeError("lease already released")
         self.active = False
         self.table.release()
+        for cache in self.caches:
+            cache.drop_prefix_state()

@@ -141,21 +141,27 @@ class GenerationRequest:
 class PrefillCursor:
     """Progress of one chunked prefill through a request's prompt.
 
-    ``done`` counts prompt tokens already run through the model (and
-    written to the KV caches); the engine advances it one scheduled
-    chunk at a time.  Preemption must *discard* the cursor — the
-    evicted pages make the prefilled prefix unreachable, so resume
-    rebuilds a fresh cursor over the full (possibly grown) prompt and
-    replays it from token zero.
+    ``done`` counts prompt tokens already in the KV caches: it starts
+    at ``start``, the prefix whose compute a prefix-cache hit skipped
+    (whole matched pages, always short of ``total`` so the last prompt
+    token runs and yields the first sampled token's logits), and the
+    engine advances it one scheduled chunk at a time.  Preemption must
+    *discard* the cursor — the evicted pages make the prefilled prefix
+    unreachable, so resume rebuilds a fresh cursor over the full
+    (possibly grown) prompt, which replays from its first page the
+    prefix cache does not match.
     """
 
     __slots__ = ("total", "done")
 
-    def __init__(self, total: int):
+    def __init__(self, total: int, start: int = 0):
         if total < 1:
             raise ValueError(f"prefill cursor needs >= 1 tokens, got {total}")
+        if not 0 <= start < total:
+            raise ValueError(
+                f"prefill cursor start {start} outside [0, {total})")
         self.total = int(total)
-        self.done = 0
+        self.done = int(start)
 
     @property
     def remaining(self) -> int:

@@ -166,6 +166,49 @@ def test_qdq_byte_equal_to_decode_of_encode(bits, group_size, rows, cols, exotic
     assert out.tobytes() == ref.tobytes()
 
 
+class TestAllZeroGroups:
+    """A MANT grid's smallest magnitude is a·0 + 2^0, so an all-zero
+    group needs a zero scale to read back as 0."""
+
+    @pytest.mark.parametrize("a", [0.0, 17.0, float(INT_A)])
+    def test_zero_group_reads_back_plus_zero(self, a):
+        codec = MantCodec(group_size=32)
+        zeros = np.zeros((1, 32))
+        out = codec.qdq(zeros, np.full((1, 1), a))
+        assert out.tobytes() == zeros.tobytes()
+        enc = codec.encode(zeros, np.full((1, 1), a))
+        assert enc.scale[0, 0] == 0.0
+        assert codec.decode(enc).tobytes() == zeros.tobytes()
+
+    def test_zero_group_beside_nonzero_group(self, rng):
+        codec = MantCodec(group_size=32)
+        w = rng.normal(size=(3, 64))
+        w[1, :32] = 0.0
+        a = np.full((3, 2), 17.0)
+        out = codec.qdq(w, a)
+        assert out[1, :32].tobytes() == np.zeros(32).tobytes()
+        alone = codec.qdq(w[:, 32:], a[:, 1:])
+        assert out[:, 32:].tobytes() == alone.tobytes()
+        assert out.tobytes() == codec.decode(codec.encode(w, a)).tobytes()
+
+    def test_select_paths_zero_group(self, rng):
+        codec = MantCodec(group_size=32)
+        sel = VarianceSelector(bits=4, group_size=32)
+        x = rng.normal(size=(4, 64))
+        x[2, 32:] = 0.0
+        out = codec.select_qdq(x, sel)
+        assert out[2, 32:].tobytes() == np.zeros(32).tobytes()
+        groups = to_groups(x, 32).groups
+        assert out.tobytes() == codec.qdq(x, sel.select_batch(groups)).tobytes()
+        from repro.core.selection import MseSearchSelector
+        mse = MseSearchSelector(bits=4, group_size=32)
+        enc = mse.select_and_encode(x, codec=codec)
+        ref = codec.encode(x, mse.select(x))
+        for name in ("sign", "magnitude", "scale", "a_coeff"):
+            assert getattr(enc, name).tobytes() == getattr(ref, name).tobytes()
+        assert codec.decode(enc)[2, 32:].tobytes() == np.zeros(32).tobytes()
+
+
 def test_qdq_rejects_bad_shapes():
     codec = MantCodec(group_size=8)
     with pytest.raises(ValueError, match="2-D"):

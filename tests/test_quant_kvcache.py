@@ -165,6 +165,47 @@ class TestFp16ScaleUnderflow:
         assert not cache.values()[:, 64:, 3].any()
 
 
+class TestFp16ScaleOverflow:
+    """A group or channel absmax past 65504·qmax would overflow its fp16
+    scale to inf and dequantize to NaN: the caches raise instead."""
+
+    def test_int_cache_rejects_overflowing_token(self, rng):
+        cache = IntKVCache(bits=4, group_size=32)
+        cache.prefill(*rng.normal(size=(2, 2, 8, 32)))
+        kt = np.ones((2, 32))
+        kt[1, 4] = 1e6                          # > 65504 * 7
+        with pytest.raises(ValueError, match="overflows fp16"):
+            cache.append(kt, np.ones((2, 32)))
+
+    def test_mant_cache_rejects_overflowing_staging_scale(self, rng):
+        cache = MantKVCache(group_size=32, window=32)
+        k, v = rng.normal(size=(2, 2, 40, 32))
+        v[1, 35, 7] = 1e7                       # staged: > 65504 * 127
+        with pytest.raises(ValueError, match="overflows fp16"):
+            cache.prefill(k, v)
+
+
+class TestAllZeroGroups:
+    """A MANT grid has no zero level: an all-zero K head or V-window
+    channel must still read back as +0, not the smallest negative
+    level."""
+
+    def test_mant_zero_v_channel_reads_back_zero(self, rng):
+        cache = MantKVCache(group_size=32, window=32)
+        k, v = rng.normal(size=(2, 2, 40, 32))
+        v[:, :, 5] = 0.0
+        k[1, :, :] = 0.0                        # every head-1 K group is zero
+        cache.prefill(k, v)
+        for _ in range(30):
+            kt, vt = rng.normal(size=(2, 2, 32))
+            vt[:, 5] = 0.0
+            cache.append(kt, vt)
+        assert cache.staging_fill == 6          # two windows closed
+        vals, keys = cache.values(), cache.keys()
+        assert vals[:, :, 5].tobytes() == np.zeros((2, 70)).tobytes()
+        assert keys[1, :40].tobytes() == np.zeros((40, 32)).tobytes()
+
+
 class TestAppendValidation:
     """Shape drift must fail loudly at append, not as a buffer error."""
 

@@ -111,6 +111,33 @@ class TestIntTypeParity:
             GroupQuantizer(IntType(8), granularity, 32).qdq(x)
 
 
+class TestFp16ScaleOverflow:
+    """An absmax above 65504·qmax overflows the fp16 scale; the group
+    would dequantize to NaN (0 × inf), so the quantizer raises instead."""
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_overflowing_scale_raises(self, granularity):
+        x = np.ones((2, 32))
+        x[0, 3] = 1e7                            # > 65504 * 127
+        # The cast to fp16 warns on its way to the inf scale that raises.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflows fp16"):
+            GroupQuantizer(IntType(8), granularity, 32).qdq(x)
+
+    def test_largest_finite_scale_still_quantizes(self):
+        x = np.ones((1, 32))
+        x[0, 3] = 65504.0 * 127                  # scale exactly fp16 max
+        out = GroupQuantizer(IntType(8), Granularity.GROUP, 32).qdq(x)
+        assert np.isfinite(out).all() and out[0, 3] == x[0, 3]
+
+    def test_float64_scales_do_not_overflow(self):
+        x = np.ones((1, 32))
+        x[0, 3] = 1e7
+        out = GroupQuantizer(IntType(8), Granularity.GROUP, 32,
+                             fp16_scales=False).qdq(x)
+        assert np.isfinite(out).all()
+
+
 def _generic_group_qdq(x, bits, group_size, axis, fp16_scales):
     """Group-wise INT fake-quant the generic way: move the axis last, pad,
     reshape, absmax, then encode → grid gather → multiply, and undo."""

@@ -7,10 +7,10 @@ tokens prefilled divided by the tokens actually allocated for them
 (``block_tokens x freshly written prefill pages``).  Storage that
 re-materializes every prompt has reuse 1.0 by construction;
 ``check_perf.py --check-speedups`` enforces >= 1.5x.  The same
-workload served by a chunked engine also measures *compute* reuse:
-prompt tokens over the tokens actually run through the model, since a
-chunked engine skips the prefill of the pages it matched (also gated
-at >= 1.5x).
+workload also measures *compute* reuse: prompt tokens over the tokens
+actually run through the model, since an engine skips the prefill of
+the pages it matched (gated at >= 1.5x for the whole-prompt and the
+chunked engine).
 
 Run:  PYTHONPATH=src python benchmarks/bench_paged_kv.py
 """
@@ -86,17 +86,25 @@ def prefix_reuse(model, cache_name: str = "mant4"):
     return reuse, detail
 
 
-def prefix_compute_reuse(model, cache_name: str = "mant4"):
-    """Serve the shared-prefix workload chunked; return (reuse, detail).
+def compute_reuse_configs() -> dict[str, ServeConfig]:
+    """The engines the compute-reuse gate serves the workload with."""
+    return {"whole": ServeConfig(max_batch_size=BATCH),
+            "chunked": ServeConfig.chunked(max_batch_size=BATCH)}
+
+
+def prefix_compute_reuse(model, cache_name: str = "mant4",
+                         config: ServeConfig | None = None):
+    """Serve the shared-prefix workload; return (reuse, detail).
 
     *Compute reuse* is prompt tokens admitted over prompt tokens run
-    through the model (``EngineStats.prefill_tokens``): a chunked
-    engine skips the compute of prefix-cache pages it matched, so the
-    ratio is above 1.0 exactly when hits save prefill work, and it is a
-    count, not a timing.
+    through the model (``EngineStats.prefill_tokens``): an engine skips
+    the compute of prefix-cache pages it matched, so the ratio is above
+    1.0 exactly when hits save prefill work, and it is a count, not a
+    timing.  ``config`` defaults to the chunked engine.
     """
-    engine = GenerationEngine(model, CACHE_FACTORIES[cache_name],
-                              ServeConfig.chunked(max_batch_size=BATCH))
+    if config is None:
+        config = compute_reuse_configs()["chunked"]
+    engine = GenerationEngine(model, CACHE_FACTORIES[cache_name], config)
     requests = make_shared_prefix_requests(model.config.vocab_size)
     results = engine.generate(requests)
     stats = engine.stats()
@@ -127,13 +135,15 @@ def main():
               f"{detail['fresh_prefill_pages']:3d} fresh | reuse {reuse:5.2f}x")
 
     report["prefix_compute_reuse"] = {}
-    print("\nshared-prefix prefill compute reuse (chunked, batch "
-          f"{BATCH}: prompt tokens / tokens run through the model)")
-    for name in CACHE_FACTORIES:
-        reuse, detail = prefix_compute_reuse(model, name)
-        report["prefix_compute_reuse"][name] = detail
-        print(f"  {name:>6} | {detail['prompt_tokens']:5d} prompt tokens | "
-              f"{detail['prefill_tokens']:5d} computed | reuse {reuse:5.2f}x")
+    print(f"\nshared-prefix prefill compute reuse (batch {BATCH}: prompt "
+          "tokens / tokens run through the model)")
+    for mode, config in compute_reuse_configs().items():
+        for name in CACHE_FACTORIES:
+            reuse, detail = prefix_compute_reuse(model, name, config)
+            report["prefix_compute_reuse"][f"{mode}/{name}"] = detail
+            print(f"  {mode:>7} {name:>6} | {detail['prompt_tokens']:5d} "
+                  f"prompt tokens | {detail['prefill_tokens']:5d} computed | "
+                  f"reuse {reuse:5.2f}x")
 
     out = os.path.join(os.path.dirname(__file__), "..", "artifacts", "results")
     os.makedirs(out, exist_ok=True)

@@ -59,7 +59,7 @@ from bench_policy_scheduling import (
     high_priority_ttft_gain,
     policy_config,
 )
-from bench_paged_kv import prefix_compute_reuse, prefix_reuse
+from bench_paged_kv import compute_reuse_configs, prefix_compute_reuse, prefix_reuse
 from bench_serve_throughput import CACHE_FACTORIES, make_requests, run_workload
 from legacy_impl import LegacyListKVCache, LegacyMantCodec, LegacyMseSearchSelector
 
@@ -89,10 +89,11 @@ MIN_SERVE_SPEEDUP = 2.0
 # workload (prefix cache actually deduplicating).
 MIN_PREFIX_REUSE = 1.5
 
-# Chunked prefill on the same workload: prompt tokens over prompt tokens
-# run through the model >= 1.5x (prefix-cache hits skip their prefill
-# compute; 1.80x measured, 1.00x when every prompt is recomputed).  A
-# deterministic count, not a timing.
+# The same workload, served whole-prompt and chunked: prompt tokens over
+# prompt tokens run through the model >= 1.5x for each engine
+# (prefix-cache hits skip their prefill compute; 6.00x measured for
+# both, 1.00x when every prompt is recomputed).  A deterministic count,
+# not a timing.
 MIN_PREFIX_COMPUTE_REUSE = 1.5
 
 # Chunked prefill: decode inter-token p95 on the long-prompt-interleave
@@ -330,14 +331,14 @@ def check_speedups() -> list[str]:
         failures.append(
             f"prefix-cache block reuse {reuse:.2f}x < {MIN_PREFIX_REUSE}x"
         )
-    reuse, detail = prefix_compute_reuse(model)
-    print(f"  chunked prefill compute reuse (shared prefix): {reuse:5.2f}x "
-          f"(floor {MIN_PREFIX_COMPUTE_REUSE}x; {detail['prefill_tokens']}/"
-          f"{detail['prompt_tokens']} prompt tokens computed)")
-    if reuse < MIN_PREFIX_COMPUTE_REUSE:
-        failures.append(
-            f"prefix-cache compute reuse {reuse:.2f}x < {MIN_PREFIX_COMPUTE_REUSE}x"
-        )
+    for mode, config in compute_reuse_configs().items():
+        reuse, detail = prefix_compute_reuse(model, config=config)
+        print(f"  {mode} prefill compute reuse (shared prefix): {reuse:5.2f}x "
+              f"(floor {MIN_PREFIX_COMPUTE_REUSE}x; {detail['prefill_tokens']}/"
+              f"{detail['prompt_tokens']} prompt tokens computed)")
+        if reuse < MIN_PREFIX_COMPUTE_REUSE:
+            failures.append(f"{mode} prefix-cache compute reuse {reuse:.2f}x "
+                            f"< {MIN_PREFIX_COMPUTE_REUSE}x")
 
     # Chunked prefill: the mixed tick must flatten decode latency under
     # long-prompt interleave without costing batch-8 throughput.  Both

@@ -318,6 +318,11 @@ def _merged_ladder(a_tuple: tuple, bits: int) -> _MergedLadder:
     )
 
 
+# The smallest float64 that rounds to inf in fp16 (65504 is the largest
+# finite value; the tie at 65520 rounds to the even neighbour, 2^16).
+_FP16_OVERFLOW = 65520.0
+
+
 def _group_absmax(groups: np.ndarray) -> np.ndarray:
     """Per-group absmax (0 for an all-zero group)."""
     return np.abs(groups).max(axis=-1)
@@ -420,7 +425,19 @@ class MantCodec:
         return grid_tables(float(a), self.bits)
 
     def _round_scale(self, scale: np.ndarray) -> np.ndarray:
+        """Round scales to fp16 when the codec stores them so.
+
+        A scale that would overflow fp16 (a group absmax above about
+        65504·grid_max) or is not a number raises ``ValueError``, as the
+        INT quantizers and KV staging do, instead of reading back as
+        inf; the check reads the per-group scales, not the elements, so
+        callers round the scale before they locate the values.
+        """
         if self.fp16_scales:
+            if not scale.max(initial=0.0) < _FP16_OVERFLOW:
+                raise ValueError(
+                    "cannot quantize: a MANT scale overflows fp16 (group "
+                    "absmax above 65504 x grid_max, or non-finite input)")
             return scale.astype(np.float16).astype(np.float64)
         return scale
 
@@ -487,14 +504,14 @@ class MantCodec:
         """
         view, a_per_group, st, gid, amax = self._locate(w, a_per_group)
         base = _scale_base(amax)
+        # An all-zero group stores scale 0 (and + signs: decodes to +0).
+        scale = self._round_scale(amax / st.grid_max[gid])
         # One bucketized lookup against the merged boundary ladder
         # locates every value in every selected grid simultaneously; the
         # per-group grid choice is then a LUT gather by ``(gid, pos)``.
         pos = st.ladder.positions(view.groups / base[..., None])
         sign = self._flat_gather(st.pos_sign, gid, pos)
         magnitude = self._flat_gather(st.pos_magnitude, gid, pos)
-        # An all-zero group stores scale 0 (and + signs: decodes to +0).
-        scale = self._round_scale(amax / st.grid_max[gid])
         if base is not amax:
             sign[amax == 0] = 1
         # Freshly allocated here — freeze now so MantEncoded skips its
@@ -585,11 +602,12 @@ class MantCodec:
         multiplies it, but no codes or :class:`MantEncoded` are built.
         An all-zero group reads back as +0.
         """
+        scale = self._round_scale(base / st.grid_max[gid])
         lin = st.ladder.positions(groups / base[..., None])
         if st.n_grids > 1:
             lin += (gid * st.pos_value.shape[1])[..., None]
         vals = st.pos_value.take(lin)
-        vals *= self._round_scale(base / st.grid_max[gid])[..., None]
+        vals *= scale[..., None]
         if base is not amax:
             vals[amax == 0] = 0.0
         return vals

@@ -59,7 +59,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.codec import MantCodec, INT_A, _group_absmax, _scale_base
+from repro.core.codec import (
+    _FP16_OVERFLOW, INT_A, MantCodec, _group_absmax, _scale_base,
+)
 from repro.core.groups import to_groups, from_groups
 from repro.core.selection import VarianceSelector
 from repro.datatypes.int_type import IntType
@@ -347,11 +349,6 @@ class FP16KVCache(_BufferedKVCache):
             self._reset_buffers(*k_t.shape, capacity=16)
         self._k.append(k_t)
         self._v.append(v_t)
-
-
-# The smallest float64 that rounds to inf in fp16 (65504 is the largest
-# finite value; the tie at 65520 rounds to the even neighbour, 2^16).
-_FP16_OVERFLOW = 65520.0
 
 
 def _fp16_nonzero(scale: np.ndarray) -> np.ndarray:

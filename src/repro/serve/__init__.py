@@ -10,9 +10,9 @@ latency statistics.
 The v2 API is layered:
 
 * **Configuration** — :class:`~repro.serve.config.ServeConfig`, one
-  validated frozen dataclass; ``ServeConfig()`` prefills whole prompts
-  at admission and the ``ServeConfig.chunked()`` preset selects the
-  chunked mixed-tick prefill pipeline.
+  validated frozen dataclass; every prompt prefills in the mixed
+  prefill+decode tick, whole in ``ServeConfig()`` and in
+  window-aligned chunks under the ``ServeConfig.chunked()`` preset.
 * **Policy** — every ordering decision (admission order, chunk
   recipients, preemption victim) goes through a pluggable
   :class:`~repro.serve.policy.SchedulerPolicy`:
@@ -82,11 +82,14 @@ The v2 API is layered:
 
 One storage backend: the paged :class:`~repro.serve.paging.BlockPool`
 (fixed-size ref-counted pages with hash-based prompt-prefix sharing,
-copy-on-write and prefix-aware block admission).  With
-``ServeConfig(prefill_chunk_tokens=...)`` prompts prefill in
-window-aligned chunks through mixed prefill+decode ticks under a
-Sarathi-style ``max_tokens_per_tick`` budget, keeping decode
-inter-token latency flat while long prompts stream in.  See
+copy-on-write and prefix-aware block admission).  One prefill path:
+admission runs no forward, and every prompt matches the prefix cache
+just before its first chunk (skipping the compute of the pages it
+attaches) and then runs as mixed prefill+decode tick segments.  With
+``ServeConfig(prefill_chunk_tokens=...)`` those are window-aligned
+chunks under a Sarathi-style ``max_tokens_per_tick`` budget, keeping
+decode inter-token latency flat while long prompts stream in; without
+it the whole prompt is one chunk.  See
 :mod:`repro.serve.engine` for the determinism guarantees and
 :mod:`repro.serve.paging` for the paging design.
 """

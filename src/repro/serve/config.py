@@ -11,9 +11,10 @@ alignment, performed by the engine via
 multiple of ``block_tokens`` (checked here) and pages of the MANT V
 window (checked there), so chunks are window-aligned transitively.
 
-``ServeConfig()`` is the whole-prompt-prefill engine; the
-:meth:`ServeConfig.chunked` preset is the Sarathi-style mixed-tick
-shape, accepting any field as a keyword override, e.g.
+Every engine prefills in the mixed tick: ``ServeConfig()`` runs each
+prompt as one chunk, the :meth:`ServeConfig.chunked` preset is the
+Sarathi-style chunked shape, accepting any field as a keyword
+override, e.g.
 ``ServeConfig.chunked(max_batch_size=16, scheduler_policy="priority")``.
 """
 
@@ -59,21 +60,23 @@ class ServeConfig:
         preemption under memory pressure.
     ``enable_prefix_cache``
         Deduplicate identical full prompt-prefix pages across requests
-        (hash-chained, copy-on-write protected).  Chunked engines also
-        skip the prefill compute of the pages a request matched.
+        (hash-chained, copy-on-write protected) and skip the prefill
+        compute of the pages a request matched.  A prompt matches just
+        before its first chunk; one whose next page a prefill ordered
+        ahead of it is computing waits a tick for it, so requests
+        admitted together share the pages the first of them computes.
 
     Chunked prefill (the mixed prefill+decode tick):
 
     ``prefill_chunk_tokens``
-        Split each admitted prompt into chunks of this many tokens and
-        run them through the batched mixed tick alongside the decode
-        rows, instead of prefilling each prompt whole and alone at
-        admission.  Must be a multiple of ``block_tokens`` — and so,
+        Split each admitted prompt into chunks of this many tokens,
+        one per tick, run through the batched mixed tick alongside the
+        decode rows.  Must be a multiple of ``block_tokens`` — and so,
         transitively, of the cache's temporal quantization window (the
         MANT V window) — so chunk boundaries always land on page and
         quantization-group boundaries and chunked output stays
-        token-identical to unchunked.  ``None``
-        (default) keeps the whole-prompt prefill path.
+        token-identical to unchunked.  ``None`` (default) runs each
+        prompt as one chunk, in the same mixed tick.
     ``max_tokens_per_tick``
         Sarathi-style per-tick token budget for the mixed tick: the
         decode rows (one token each) are charged first, and prefill

@@ -18,12 +18,12 @@ generation into multi-tenant serving:
   engine; strict-priority and EDF-deadline policies ship alongside);
 * each :meth:`~GenerationEngine.step` runs *one* fused tick for every
   running sequence, each attending through its own pooled
-  FP16/INT/MANT cache at its own position.  With
-  ``ServeConfig.prefill_chunk_tokens`` set, admitted prompts do not
-  prefill whole and alone: they are split into window-aligned chunks
-  and each tick packs the decode rows *plus* a token-budgeted set of
-  prefill chunks (``max_tokens_per_tick``, Sarathi-style) into one
-  :meth:`~repro.model.transformer.TransformerLM.forward_mixed` call;
+  FP16/INT/MANT cache at its own position: the decode rows *plus* a
+  set of prompt chunks packed into one
+  :meth:`~repro.model.transformer.TransformerLM.forward_mixed` call.
+  Admission runs no forward; a prompt is one chunk, or, with
+  ``ServeConfig.prefill_chunk_tokens`` set, window-aligned chunks
+  under a token budget (``max_tokens_per_tick``, Sarathi-style);
 * a request with ``n > 1`` prefills its prompt **once**; when the
   prefill completes, the engine forks the paged lease copy-on-write
   per extra sample (:meth:`~repro.serve.paging.PagedLease.fork`), and
@@ -51,7 +51,10 @@ generation into multi-tenant serving:
 KV storage is fixed-size pages from one
 :class:`~repro.serve.paging.BlockPool`: admission on actually-free
 blocks instead of worst-case token budgets, on-demand page allocation
-each tick, hash-based prefix sharing of identical full prompt pages,
+each tick, hash-based prefix sharing of identical full prompt pages
+(matched just before a prompt's first chunk, so requests admitted in
+one wave share the pages the first of them computes, and the matched
+pages' compute is skipped),
 copy-on-write forks for ``n > 1``, and preemption-by-recompute
 (policy-chosen victim, back to the queue) when the pool runs dry
 mid-decode.
@@ -62,14 +65,16 @@ Determinism guarantee: every tick is one
 from its own seeded RNG, so a request's output never depends on which
 other requests shared its batch — under the default FCFS policy, greedy
 engine output == the plain ``prefill`` + ``decode_step`` loop, token
-for token, for every cache type, with and without prefix sharing and
-in both prefill modes.  The guarantee is token-level, not bitwise: cache
+for token, for every cache type, with and without prefix sharing,
+whole-prompt or chunked.  The guarantee is token-level, not bitwise: cache
 quantization is per token (and chunk boundaries land on
 quantization-window boundaries by construction), so the one thing
 separating a tick from the single-stream loop is that the packed
 ``(1, T, d)`` GEMMs may wobble in the last float ulp against the
 single-stream ``(1, 1, d)`` ones — BLAS kernels are not bitwise
-row-count-invariant — and quantization grids absorb that wobble.  The
+row-count-invariant — and quantization grids absorb that wobble.  A
+whole prompt's first-token logits, too, come from ``forward_mixed``'s
+one-row projection, not from ``prefill``'s all-row one.  The
 bitwise batched-decode oracle lives at model level:
 :meth:`~repro.model.transformer.TransformerLM.decode_step_batch` rows
 equal ``decode_step`` byte for byte.  (Preemption is the one
@@ -143,7 +148,7 @@ class _Sequence:
         "request", "sampler", "on_token", "lease", "pos", "next_token",
         "tokens", "finished", "finish_reason", "decode_steps",
         "submit_time", "admit_time", "resuming", "text_len",
-        "cursor", "pending_ids", "prefill_chunks",
+        "cursor", "pending_ids", "hashes", "prefill_chunks",
         "first_token_time", "last_token_time",
         "arrival_seq", "sample_index", "lanes", "family", "retired",
         "retries", "error", "timeout_s", "cancelled_samples",
@@ -165,9 +170,10 @@ class _Sequence:
         self.admit_time = float("nan")
         self.resuming = False        # preempted: rebuild cache, don't re-emit
         self.text_len = 0            # detokenized chars already streamed
-        self.cursor: PrefillCursor | None = None   # chunked prefill progress
-        self.pending_ids = None      # ids the in-flight chunked prefill covers
-        self.prefill_chunks = 0      # forward passes this request's prompt took
+        self.cursor: PrefillCursor | None = None   # prefill progress
+        self.pending_ids = None      # ids the in-flight prefill covers
+        self.hashes = None           # their page hashes (prefix cache)
+        self.prefill_chunks = 0      # chunks this request's prompt took
         self.first_token_time = float("nan")       # TTFT endpoint
         self.last_token_time = float("nan")        # inter-token latency anchor
         self.arrival_seq = 0         # engine-wide submission order stamp
@@ -262,7 +268,8 @@ class EngineStats:
     cache_slots_high_water: int
     preemptions: int              # sequences bumped back to the queue
     prefix_hit_tokens: int        # prompt tokens served from shared pages
-    prefill_chunks: int           # chunked mode: prompt chunks run in mixed ticks
+    prefill_chunks: int           # prompt chunks run in mixed ticks (a whole
+                                  # prompt is one)
     prefill_tokens: int           # prompt tokens actually run through the model
     ttft_p50_s: float             # submit -> first token percentiles (NaN if none)
     ttft_p95_s: float
@@ -426,9 +433,7 @@ class GenerationEngine:
         )
         self.scheduler.bind_block_gauge(
             lambda: self.pool.blocks_available, config.block_tokens,
-            prefix_probe=(
-                self.pool.probe_prefix if config.enable_prefix_cache else None
-            ),
+            prefix_probe=self._attached_pages,
         )
         self._results: dict[str, GenerationResult] = {}
         self._active_ids: set[str] = set()
@@ -809,22 +814,22 @@ class GenerationEngine:
     def step(self) -> list[TokenEvent]:
         """One engine tick: admit, one fused forward, retire finished.
 
-        Unchunked (``prefill_chunk_tokens is None``): admitted prompts
-        prefill whole at admission (``model.prefill``).  Chunked:
-        admission only leases cache storage, adopts the prefix-cache
-        pages it matched (their compute is skipped) and opens a
-        :class:`~repro.serve.request.PrefillCursor` after them, and the
-        tick's token budget picks prompt chunks.  Either way the tick then
-        packs every decode row plus any chunks into one
-        ``forward_mixed`` call — a decode-only tick is all-``DECODE``
-        segments — token-identical to the single-stream loop.
+        Admission only leases cache storage and opens a
+        :class:`~repro.serve.request.PrefillCursor` over the prompt.
+        The plan phase matches each prompt against the prefix cache
+        just before its first chunk — adopting the matched pages, whose
+        compute is skipped — and picks prompt chunks: the whole rest of
+        the prompt, or with ``prefill_chunk_tokens`` set one chunk per
+        prompt under the tick's token budget.  The tick then packs
+        every decode row plus the chunks into one ``forward_mixed``
+        call — a decode-only tick is all-``DECODE`` segments —
+        token-identical to the single-stream loop.
         """
         if not self.scheduler.has_work():
             return []
         tracer = self._tracer
         now = self._now()
         events: list[TokenEvent] = []
-        chunked = self.config.prefill_chunk_tokens is not None
         with tracer.span("tick"):
             # 0. Timeout sweep, at the tick boundary (before admission,
             # so an expired queued request never wastes a prefill):
@@ -839,7 +844,7 @@ class GenerationEngine:
                 # check).  Draining engines skip it: in-flight work runs
                 # dry while queued work waits for the snapshot.
                 with tracer.span("admit"):
-                    self._admit(now, chunked, events)
+                    self._admit(now, events)
 
                 # 2. Plan this tick's work under the pool's block
                 # supply, then run it as one fused forward.  A fault
@@ -871,51 +876,76 @@ class GenerationEngine:
             self.check_invariants()
         return events
 
-    def _admit(self, now: float, chunked: bool, events: list) -> None:
+    def _admit(self, now: float, events: list) -> None:
         """The tick's admission loop (factored out of :meth:`step` so
-        the whole phase sits under one ``admit`` span)."""
+        the whole phase sits under one ``admit`` span).  Admission runs
+        no forward: it leases storage, counts the prompt and opens its
+        :class:`~repro.serve.request.PrefillCursor`."""
         while (not self._draining
                and (seq := self.scheduler.admit_one()) is not None):
             if math.isnan(seq.admit_time):
                 seq.admit_time = now     # queue latency: first admission only
             self._tl(seq, "admit", resumed=seq.resuming)
-            ids = seq.prefill_ids()
             try:
                 # Admission is where pool leases are taken — the alloc
                 # fault site for this sequence.
                 self._fire(ALLOC, seq)
                 seq.lease = self.pool.acquire(self._cache_factory)
-                seq.lease.match_prefix(ids)
-                self._prompt_tokens.inc(int(ids.size))
-                if chunked:
-                    # No forward yet — the prompt enters the chunk queue,
-                    # past the matched pages whose compute it skips (all
-                    # but the last prompt token, which yields logits).
-                    bt = self.pool.block_tokens
-                    skip = min(seq.lease.sealed_tokens,
-                               (ids.size - 1) // bt * bt)
-                    seq.lease.adopt_prefix(skip)
-                    seq.pending_ids = ids
-                    seq.cursor = PrefillCursor(ids.size, start=skip)
-                    continue
-                self._fire(FORWARD, seq)
-                with self._tracer.span("forward"):
-                    logits = self.model.prefill(
-                        ids, seq.lease.caches,
-                        weights=self.weights, act_quant=self.act_quant,
-                    )
             except Exception as exc:
-                # Whole-prompt prefill runs one sequence alone, so a
-                # real exception here is attributable — quarantine
-                # (or retry) just this sequence, bystanders untouched.
                 self._on_fault(seq, exc, events)
                 continue
-            seq.pos = int(ids.size)
-            seq.prefill_chunks += 1
-            self._prefill_tokens.inc(int(ids.size))
-            self._tl(seq, "prefill", tokens=int(ids.size))
-            seq.lease.register_prefix(ids)
-            self._finish_prefill(seq, logits, events)
+            seq.pending_ids = seq.prefill_ids()
+            seq.cursor = PrefillCursor(seq.pending_ids.size)
+            self._prompt_tokens.inc(int(seq.pending_ids.size))
+
+    def _hashes(self, seq: _Sequence) -> list:
+        """``seq``'s prefill page hashes, computed once per admission
+        (none without a prefix cache)."""
+        if seq.hashes is None and self.config.enable_prefix_cache:
+            seq.hashes = list(self.pool.page_hashes(seq.prefill_ids()))
+        return seq.hashes or []
+
+    def _attached_pages(self, seqs: list) -> int:
+        """The scheduler's admission probe: prefill pages of ``seqs``
+        that take no free block.  A matched lease already holds its
+        pages; an unmatched prefill will attach its leading pages that
+        are live in the pool or that a prefill the policy orders ahead
+        of it computes (those it waits for, see :meth:`_match_prefixes`)."""
+        attached, pending = 0, set()
+        for seq in self.scheduler.policy.order_queue(seqs):
+            hashes, lease = self._hashes(seq), seq.lease
+            attached += (lease.table.n_pages if lease and lease.matched
+                         else self.pool.probe_prefix(hashes, pending))
+            pending.update(hashes)
+        return attached
+
+    def _match_prefixes(self, prefilling: list) -> list:
+        """Match prompts against the prefix cache before their first
+        chunk; return the prefills ready for a chunk, in policy order.
+
+        A match adopts the pages it attached (their compute is skipped)
+        and restarts the cursor after them, short of the last prompt
+        token, whose logits sample the first token.  An unmatched
+        sequence whose first unregistered page is one a prefill ordered
+        ahead of it computes waits instead: once that donor registers
+        its pages, the match attaches them.
+        """
+        ready, pending = [], set()
+        for seq in self.scheduler.policy.order_queue(prefilling):
+            hashes, lease = self._hashes(seq), seq.lease
+            if not lease.matched:
+                m = self.pool.probe_prefix(hashes, live=False)
+                if m < len(hashes) and hashes[m] in pending:
+                    pending.update(hashes)
+                    continue
+                lease.match_prefix(seq.pending_ids, hashes)
+                total, bt = seq.cursor.total, self.pool.block_tokens
+                skip = min(lease.sealed_tokens, total - 1) // bt * bt
+                lease.adopt_prefix(skip)
+                seq.cursor = PrefillCursor(total, start=skip)
+            pending.update(hashes)
+            ready.append(seq)
+        return ready
 
     # ------------------------------------------------------------------
     # Tick assembly
@@ -942,12 +972,12 @@ class GenerationEngine:
         while True:
             running = self.scheduler.running
             decode = [s for s in running if not s.finished and s.cursor is None]
-            prefilling = [s for s in running
-                          if s.cursor is not None and not s.finished]
+            prefilling = self._match_prefixes(
+                [s for s in running if s.cursor is not None and not s.finished])
             budget = math.inf
             if self.config.max_tokens_per_tick is not None:
                 budget = max(0, self.config.max_tokens_per_tick - len(decode))
-            chunks = self.scheduler.plan_chunks(prefilling, budget) if prefilling else []
+            chunks = self.scheduler.policy.pick_chunk_recipients(prefilling, budget)
             if self._faults is not None:
                 decode = [s for s in decode if self._gate(FORWARD, s, events)]
                 chunks = [(s, n) for s, n in chunks
@@ -972,7 +1002,7 @@ class GenerationEngine:
                     "BlockPool exhausted with a single running sequence: "
                     f"{self.pool.blocks_available} blocks free, {need} needed"
                 )
-            self._preempt(self.scheduler.policy.choose_preemption_victim(victims))
+            self._evict(self.scheduler.policy.choose_preemption_victim(victims))
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -1146,9 +1176,8 @@ class GenerationEngine:
                          done=seq.cursor.done, total=seq.cursor.total)
                 if seq.cursor.complete:
                     seq.pos = seq.cursor.total
-                    seq.lease.register_prefix(seq.pending_ids)
-                    seq.cursor = None
-                    seq.pending_ids = None
+                    seq.lease.register_prefix(seq.pending_ids, seq.hashes)
+                    seq.cursor = seq.pending_ids = seq.hashes = None
                     if not seq.finished:
                         self._finish_prefill(seq, logits, events)
 
@@ -1215,9 +1244,6 @@ class GenerationEngine:
             self.scheduler.add_running(sibling)
             self._emit(sibling, sibling.sampler.sample(logits), events)
 
-    def _preempt(self, seq: _Sequence) -> None:
-        self._evict(seq)
-
     def _evict(self, seq: _Sequence, count_preemption: bool = True) -> None:
         """Running → head of the queue, storage released, replay later.
 
@@ -1233,8 +1259,7 @@ class GenerationEngine:
         # gone, so resume must rebuild a cursor over the whole (by then
         # grown) prompt via prefill_len and replay it from the first
         # page the prefix cache no longer matches.
-        seq.cursor = None
-        seq.pending_ids = None
+        seq.cursor = seq.pending_ids = seq.hashes = None
         # Mid-prefill victims emitted nothing yet — their re-admission
         # is a plain first prefill, not a resume.
         seq.resuming = bool(seq.tokens)

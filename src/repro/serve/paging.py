@@ -29,11 +29,14 @@ uses vLLM/mlc-llm-style paging instead:
   — necessary because K/V content at position ``p`` depends on the whole
   token prefix through the transformer).  A matching request attaches
   the donor's blocks (ref-count++), suppresses its own writes over the
-  sealed region, and starts writing at the first divergent page.  A
-  chunked engine also skips their compute (:meth:`PagedLease.
-  adopt_prefix`): besides the pages, a MANT cache needs the donor's
-  running V channel maxima, which the donor registers with each page
-  in a per-layer side slab of the pool.
+  sealed region, and starts writing at the first divergent page.  The
+  engine also skips their compute (:meth:`PagedLease.adopt_prefix`):
+  besides the pages, a MANT cache needs the donor's running V channel
+  maxima, which the donor registers with each page in a per-layer side
+  slab of the pool.  Pages register when a prefill completes; the
+  engine matches a prompt just before its first chunk, so a request
+  admitted beside its donor waits for the donor's pages instead of
+  recomputing them.
 * **Copy-on-write** — any write (append or in-place V-window finalize)
   to a block with more than one reference first clones the block across
   every slab, so :meth:`PagedLease.fork` gives cheap sequence clones
@@ -360,25 +363,25 @@ class BlockPool:
         self.high_water = max(self.high_water, self.blocks_in_use)
         return bid
 
-    def probe_prefix(self, ids: np.ndarray) -> int:
-        """Pages of ``ids``'s prompt prefix backed by *live* shared blocks.
+    def probe_prefix(self, hashes, pending=frozenset(), live=True) -> int:
+        """Leading pages of a prompt, given as its :meth:`page_hashes`,
+        that a prefix match would attach.
 
-        A read-only admission probe: unlike :meth:`lookup` it takes no
-        references and resurrects nothing.  Only blocks some sequence
-        still references count — attaching those is free, whereas
-        resurrecting a cached-free match consumes a block the
-        ``blocks_available`` gauge currently counts, so it must keep
-        being charged like a fresh page.  The walk stops at the first
-        page that is unmatched or not live (later live pages would be
-        attached by :meth:`PagedLease.match_prefix`, but charging them
-        too only errs conservative).
+        A read-only probe: unlike :meth:`lookup` it takes no references
+        and resurrects nothing.  A page counts while it is registered
+        or in ``pending`` (pages a prefill scheduled ahead will
+        register).  With ``live`` (the admission probe) a registered
+        page counts only while some sequence still references it:
+        attaching it is free, whereas resurrecting a cached-free match
+        consumes a block the ``blocks_available`` gauge currently
+        counts, so it must keep being charged like a fresh page.
         """
         if not self.enable_prefix_cache:
             return 0
         matched = 0
-        for h in self.page_hashes(ids):
+        for h in hashes:
             bid = self._block_of_hash.get(h)
-            if bid is None or self._ref[bid] < 1:
+            if (bid is None or live and self._ref[bid] < 1) and h not in pending:
                 break
             matched += 1
         return matched
@@ -552,10 +555,10 @@ class PagedTokenBuffer:
 
     ``sealed`` positions are the pages a prefix-cache match attached:
     they already hold the donor's content and are never written.  A
-    sequence that skips their compute starts at :meth:`adopt`; one
-    that runs them anyway (the unchunked admission prefill, and the
-    last matched page when the whole prompt matched) appends over them,
-    which advances the length without a store.
+    sequence that skips their compute starts at :meth:`adopt`; the
+    pages it runs anyway (the last matched page when the whole prompt
+    matched, since its last token must run for the first-token logits)
+    are appended over, which advances the length without a store.
     """
 
     __slots__ = ("_pool", "_table", "_slab", "_flat", "_len", "_sealed")
@@ -793,14 +796,17 @@ class PagedLease:
 
     ``caches`` holds one :class:`PagedKVCache` per model layer, all
     sharing one :class:`PageTable`.  The prefix-cache protocol is:
-    :meth:`match_prefix` *before* the model prefill (attaches shared
-    pages and seals them against writes), optionally
+    :meth:`match_prefix` once, *before* the prompt's first chunk
+    (attaches shared pages and seals them against writes; the engine
+    calls it at plan time, not at admission, so pages registered by
+    prefills admitted in the same wave can still match), optionally
     :meth:`adopt_prefix` (the prefill then starts after the adopted
     pages instead of recomputing them), then :meth:`register_prefix`
-    *after* it (publishes the freshly written full pages with each
-    layer's prefix state).  :meth:`release` returns the slot when the
-    request finishes or is preempted; a preempted sequence's next
-    lease matches again and resumes from its first unmatched page.
+    *after* the last chunk (publishes the freshly written full pages
+    with each layer's prefix state).  :meth:`release` returns the slot
+    when the request finishes or is preempted; a preempted sequence's
+    next lease matches again and resumes from its first unmatched
+    page.
     """
 
     __slots__ = ("pool", "table", "caches", "active", "sealed_tokens",
@@ -812,35 +818,40 @@ class PagedLease:
         self.caches: list[PagedKVCache] = []
         self.active = True
         self.sealed_tokens = 0
-        self._matched_pages = 0
+        self._matched_pages = None
 
     # ------------------------------------------------------------------
-    def match_prefix(self, ids: np.ndarray) -> int:
+    def match_prefix(self, ids: np.ndarray, hashes=None) -> int:
         """Attach the longest cached run of full prompt pages.
 
         Returns the number of *tokens* sealed (a multiple of
         ``block_tokens``).  Stops at the first miss: content beyond a
         divergent page depends on the divergent tokens, so later pages
-        can never legally match.
+        can never legally match.  ``hashes`` passes the prompt's
+        :meth:`BlockPool.page_hashes` when the caller has them.
         """
-        if self.table.blocks or self.sealed_tokens:
-            raise RuntimeError("match_prefix must run before any cache data")
+        if self.matched or self.table.blocks:
+            raise RuntimeError("match_prefix must run once, before any cache data")
         ids = np.asarray(ids, dtype=np.int64)
         self.pool.prefill_pages_total += -(-ids.size // self.pool.block_tokens)
-        if not self.pool.enable_prefix_cache:
-            return 0
         matched = 0
-        for h in self.pool.page_hashes(ids):
-            bid = self.pool.lookup(h)
-            if bid is None:
-                break
-            self.table.append_block(bid)
-            matched += 1
+        if self.pool.enable_prefix_cache:
+            for h in self.pool.page_hashes(ids) if hashes is None else hashes:
+                bid = self.pool.lookup(h)
+                if bid is None:
+                    break
+                self.table.append_block(bid)
+                matched += 1
         self.sealed_tokens = matched * self.pool.block_tokens
         self._matched_pages = matched
         self.pool.prefill_pages_hit += matched
         self.pool.prefix_hit_tokens += self.sealed_tokens
         return self.sealed_tokens
+
+    @property
+    def matched(self) -> bool:
+        """Whether :meth:`match_prefix` has run on this lease."""
+        return self._matched_pages is not None
 
     def adopt_prefix(self, n_tokens: int) -> None:
         """Skip the compute of the first ``n_tokens`` sealed tokens.
@@ -863,15 +874,17 @@ class PagedLease:
             cache.adopt_prefix(n_tokens, heads, d_head,
                                self.pool.prefix_state(layer, bid))
 
-    def register_prefix(self, ids: np.ndarray) -> int:
+    def register_prefix(self, ids: np.ndarray, hashes=None) -> int:
         """Publish this sequence's freshly written full prompt pages,
         each with every layer's prefix state through its end, then free
-        the caches' record of those states."""
+        the caches' record of those states.  ``hashes`` is as in
+        :meth:`match_prefix`."""
         registered = 0
         if self.pool.enable_prefix_cache:
             bt = self.pool.block_tokens
-            for i, h in enumerate(self.pool.page_hashes(ids)):
-                if i < self._matched_pages:
+            hashes = self.pool.page_hashes(ids) if hashes is None else hashes
+            for i, h in enumerate(hashes):
+                if i < (self._matched_pages or 0):
                     continue           # already shared, donor registered it
                 if i >= self.table.n_pages:
                     break              # prefill wrote less than ids (caller bug)

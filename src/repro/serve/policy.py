@@ -13,7 +13,8 @@ scheduler/engine delegate every ordering decision to it:
 ``pick_chunk_recipients(prefilling, budget)``
     Which half-prefilled sequences receive a chunk this mixed tick, as
     ``[(seq, n_tokens)]`` under the Sarathi-style token ``budget``
-    (at most one chunk per sequence per tick).
+    (at most one chunk per sequence per tick; without a chunk size the
+    chunk is the rest of the prompt).
 ``choose_preemption_victim(running)``
     Which running sequence the engine evicts back to the queue
     when the block pool runs dry.
@@ -92,10 +93,10 @@ class SchedulerPolicy(Protocol):
 class _OrderingPolicy:
     """Shared mechanics: policies only define the sort key.
 
-    ``chunk_tokens`` is bound by the scheduler (:meth:`bind`); the
-    chunk plan walks the policy-ordered prefilling set head-of-line
-    under the token budget — for FCFS this is exactly the pre-policy
-    ``Scheduler.plan_chunks`` loop.
+    ``chunk_tokens`` is bound by the scheduler (:meth:`bind`; ``None``
+    makes each chunk the rest of its prompt); the chunk plan walks the
+    policy-ordered prefilling set head-of-line under the token budget
+    — for FCFS this is exactly the pre-policy chunk loop.
     """
 
     name = "?"
@@ -116,7 +117,7 @@ class _OrderingPolicy:
     def pick_chunk_recipients(self, prefilling: list, budget: float) -> list:
         plan = []
         for seq in self.order_queue(prefilling):
-            n = min(self.chunk_tokens, seq.cursor.remaining)
+            n = min(self.chunk_tokens or math.inf, seq.cursor.remaining)
             if n > budget:
                 break
             plan.append((seq, n))

@@ -139,12 +139,14 @@ class GenerationRequest:
 
 
 class PrefillCursor:
-    """Progress of one chunked prefill through a request's prompt.
+    """Progress of one prefill through a request's prompt.
 
     ``done`` counts prompt tokens already in the KV caches: it starts
     at ``start``, the prefix whose compute a prefix-cache hit skipped
     (whole matched pages, always short of ``total`` so the last prompt
-    token runs and yields the first sampled token's logits), and the
+    token runs and yields the first sampled token's logits — the
+    engine opens the cursor at 0 on admission and reopens it there
+    when the prompt matches, just before its first chunk), and the
     engine advances it one scheduled chunk at a time.  Preemption must
     *discard* the cursor — the evicted pages make the prefilled prefix
     unreachable, so resume rebuilds a fresh cursor over the full
@@ -313,7 +315,7 @@ class GenerationResult:
     service_time_s: float       # admission -> finish
     decode_steps: int           # batched decode ticks this request rode
     ttft_s: float = float("nan")      # submit -> first emitted token
-    prefill_chunks: int = 0     # chunked mode: forward passes the prompt took
+    prefill_chunks: int = 0     # prompt chunks run (a whole prompt is one)
     samples: list[SampleOutput] = field(default=None)
     error: str | None = None    # first fault among the samples, else None
     trace: list | None = None   # lifecycle event dicts (observe=True), else None

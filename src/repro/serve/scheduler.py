@@ -21,23 +21,27 @@ admission) lives here; *ordering* is delegated to a
   cache-memory pool.
 * **Block-aware admission.**  When a block gauge is bound (the engine
   always binds its pool's), the head is admitted iff its *prefill* —
-  not its worst case — fits in the pool's actually-free pages;
+  not its worst case; for a resumed sequence, plus its emitted, not
+  yet fed token — fits in the pool's actually-free pages, after the
+  outstanding pages of admitted, not yet prefilled sequences;
   decode-time growth allocates on demand and the engine preempts back
   into this queue (at the front, preserving arrival order) on pool
   exhaustion.  This is what lets the engine admit far more work than
   worst-case token budgets would.
 * **Prefix-aware admission.**  A bound ``prefix_probe`` reports how
-  many of the head's leading prompt pages are already backed by live
-  shared blocks; only the pages a prefix-cache hit *won't* cover are
-  charged against the gauge, so a request repeating a popular system
-  prompt admits as soon as its unique tail fits.
+  many of those prefill pages attach without a free block: pages
+  backed by live shared blocks, or computed by an admitted prefill the
+  policy orders ahead.  Only the pages a prefix-cache hit *won't*
+  cover are charged against the gauge, so a request repeating a
+  popular system prompt admits as soon as its unique tail fits — also
+  beside the request that computes the prompt.
 * **Chunked-prefill budget** (``prefill_chunk_tokens``).  Prompts run
-  through the mixed prefill+decode tick in window-aligned chunks;
-  :meth:`Scheduler.plan_chunks` delegates to
-  ``policy.pick_chunk_recipients``: at most one chunk per prefilling
-  sequence per tick, policy-ordered head-of-line, under the
-  Sarathi-style ``max_tokens_per_tick`` token budget (decode rows are
-  charged first, leftover budget feeds prefill).
+  through the mixed prefill+decode tick; the engine's plan phase asks
+  ``policy.pick_chunk_recipients`` for the tick's chunks: at most one
+  chunk per prefilling sequence per tick (the whole rest of the prompt
+  without ``prefill_chunk_tokens``), policy-ordered head-of-line,
+  under the Sarathi-style ``max_tokens_per_tick`` token budget (decode
+  rows are charged first, leftover budget feeds prefill).
 * **Bounded queue.**  ``max_queue_len`` caps the waiting line;
   ``submit`` raises :class:`QueueFullError` instead of growing the
   deque without bound (backpressure — callers retry or shed load).
@@ -114,11 +118,6 @@ class Scheduler:
         return list(self._queue)
 
     @property
-    def waiting(self) -> list:
-        """The queued sequences in the policy's admission order."""
-        return self.policy.order_queue(list(self._queue))
-
-    @property
     def tokens_in_flight(self) -> int:
         """Worst-case KV tokens the running set may occupy."""
         return sum(_footprint(seq) for seq in self._running)
@@ -137,13 +136,13 @@ class Scheduler:
         """Enable block-aware admission: ``gauge()`` reports free pages.
 
         Admission then requires the head's prefill (its current token
-        count, not its worst case) to fit in actually-free pages.
-        ``prefix_probe(ids)``, when given, reports how many leading
-        prompt pages a prefix-cache match already backs with *live*
-        blocks; those pages cost no free blocks to attach, so they are
-        subtracted from the head's demand — the prefix-aware admission
-        that lets shared-prompt requests in while a cold prompt of the
-        same length would still wait.
+        count, not its worst case) and the admitted prefills' pages to
+        fit in actually-free pages.  ``prefix_probe(seqs)``, when given,
+        reports how many of those sequences' prefill pages need no free
+        block (pages a lease already holds, or a prefix-cache match
+        will attach live); they are subtracted from the demand — the
+        prefix-aware admission that lets shared-prompt requests in
+        while a cold prompt of the same length would still wait.
         """
         self._block_gauge = gauge
         self._block_tokens = block_tokens
@@ -213,24 +212,19 @@ class Scheduler:
             if self.tokens_in_flight + _footprint(seq) > budget:
                 return False
         if self._block_gauge is not None:
-            pages = -(-seq.prefill_len // self._block_tokens)
+            # Admitted prefills hold no pages until their chunks run, so
+            # the gauge alone cannot see their demand: charge the head's
+            # prefill pages plus theirs — a resumed head also backs its
+            # emitted, not yet fed token, or it is re-admitted only to
+            # be preempted at its next decode — less the pages the probe
+            # says attach without a free block.
+            prefills = [s for s in self._running
+                        if getattr(s, "cursor", None) is not None]
+            tokens = [s.cursor.total for s in prefills]
+            tokens.append(seq.prefill_len + bool(getattr(seq, "resuming", False)))
+            pages = sum(-(-n // self._block_tokens) for n in tokens)
             if self._prefix_probe is not None:
-                # Pages already backed by live shared blocks attach for
-                # free (ref-count++, no allocation); cached-free matches
-                # are *not* subtracted — resurrecting one consumes a
-                # block the gauge currently counts as available.
-                pages -= self._prefix_probe(seq.prefill_ids())
-            # Chunked engines admit before any pages are written, so the
-            # gauge alone cannot see earlier admissions' demand (the
-            # unchunked path allocates at admission, making it visible).
-            # Charge the outstanding prefill pages of already-admitted,
-            # not-yet-prefilled sequences, or a burst of admissions
-            # over-commits the pool and churns through preemptions.
-            pages += sum(
-                s.lease.new_pages_for(s.cursor.total)
-                for s in self._running
-                if getattr(s, "cursor", None) is not None and s.lease is not None
-            )
+                pages -= self._prefix_probe([*prefills, seq])
             if pages > self._block_gauge():
                 return False
         return True
@@ -279,22 +273,6 @@ class Scheduler:
     def find_queued(self, request_id: str):
         """The queued sequences belonging to ``request_id`` (0 or 1)."""
         return [s for s in self._queue if s.request.request_id == request_id]
-
-    def plan_chunks(self, prefilling: list, budget: float) -> list:
-        """Token-budgeted prefill-chunk plan for one mixed tick.
-
-        ``prefilling`` are the running sequences whose prompts are not
-        fully prefilled, in admission order; ``budget`` is the tick's
-        remaining token budget after charging the decode rows (``inf``
-        when :attr:`ServeConfig.max_tokens_per_tick` is unset).  The
-        policy orders them and packs head-of-line: each sequence gets
-        at most one chunk of up to ``prefill_chunk_tokens`` per tick
-        (the final chunk may be shorter), and when the next chunk does
-        not fit the remaining budget nothing behind it is considered,
-        so a long prompt can never be starved by later short ones.
-        Returns ``[(seq, n_tokens)]``.
-        """
-        return self.policy.pick_chunk_recipients(prefilling, budget)
 
     def requeue_front(self, seq) -> None:
         """Preemption path: running → head of the queue (arrival order

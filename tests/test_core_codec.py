@@ -209,6 +209,38 @@ class TestAllZeroGroups:
         assert codec.decode(enc)[2, 32:].tobytes() == np.zeros(32).tobytes()
 
 
+class TestFp16ScaleOverflow:
+    """A group absmax past 65504·grid_max would overflow its fp16 scale
+    to inf: every quantize path raises instead of returning inf."""
+
+    def test_every_path_raises(self, rng):
+        codec = MantCodec(group_size=32)
+        w = rng.normal(size=(2, 64))
+        w[1, 40] = 1e9
+        a = np.full((2, 2), 17.0)
+        sel = VarianceSelector(bits=4, group_size=32)
+        for call in (lambda: codec.qdq(w, a), lambda: codec.encode(w, a),
+                     lambda: codec.select_qdq(w, sel)):
+            with pytest.raises(ValueError, match="overflows fp16"):
+                call()
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="overflows fp16"):
+                codec.qdq(np.full((1, 32), bad), a[:1, :1])
+
+    def test_largest_finite_scale_passes(self):
+        codec = MantCodec(group_size=32)
+        w = np.zeros((1, 32))
+        w[0, 3] = 60000.0 * codec.grid(17.0).grid_max
+        out = codec.qdq(w, np.full((1, 1), 17.0))
+        assert np.isfinite(out).all()
+
+    def test_float64_scales_never_overflow(self):
+        codec = MantCodec(group_size=32, fp16_scales=False)
+        w = np.zeros((1, 32))
+        w[0, 3] = 1e9
+        assert np.isfinite(codec.qdq(w, np.full((1, 1), 17.0))).all()
+
+
 def test_qdq_rejects_bad_shapes():
     codec = MantCodec(group_size=8)
     with pytest.raises(ValueError, match="2-D"):

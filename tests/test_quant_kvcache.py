@@ -185,6 +185,26 @@ class TestFp16ScaleOverflow:
             cache.prefill(k, v)
 
 
+    def test_mant_cache_rejects_overflowing_k_row(self, rng):
+        cache = MantKVCache(group_size=32, window=32)
+        cache.prefill(*rng.normal(size=(2, 2, 8, 32)))
+        keys = np.array(cache.keys(), copy=True)
+        kt = np.ones((2, 32))
+        kt[1, 4] = 1e9                          # > 65504 * grid_max
+        with pytest.raises(ValueError, match="overflows fp16"):
+            cache.append(kt, np.ones((2, 32)))
+        # Raised before any write: the cache is as it was.
+        assert cache.seq_len == 8
+        assert np.array(cache.keys()).tobytes() == keys.tobytes()
+
+    def test_mant_cache_rejects_overflowing_prompt_window(self, rng):
+        cache = MantKVCache(group_size=32, window=32)
+        k, v = rng.normal(size=(2, 2, 40, 32))
+        v[0, 3, 9] = 1e9                        # a full prompt window
+        with pytest.raises(ValueError, match="overflows fp16"):
+            cache.prefill(k, v)
+
+
 class TestAllZeroGroups:
     """A MANT grid has no zero level: an all-zero K head or V-window
     channel must still read back as +0, not the smallest negative

@@ -34,6 +34,8 @@ from repro.serve import (
     ServeConfig,
 )
 
+from serve_testlib import single_stream
+
 VOCAB = 64
 
 CACHE_FACTORIES = {
@@ -226,10 +228,10 @@ class TestChunkedEngineEquivalence:
         for i in range(len(ps)):
             assert rr[f"r{i}"].tokens == rc[f"r{i}"].tokens
         # Exactly the chunks the prompts need past their skipped
-        # prefixes: the first three requests are admitted together,
-        # before any page is registered, and compute everything; the two
-        # admitted later skip the two shared 16-token system pages.
-        skips = [0, 0, 0, 32, 32] if backend == "paged_shared" else [0] * 5
+        # prefixes: the first request computes everything; the other
+        # four skip the two shared 16-token system pages — the two
+        # admitted beside it wait for it to register them.
+        skips = [0, 32, 32, 32, 32] if backend == "paged_shared" else [0] * 5
         assert chunked.stats().prefill_chunks == sum(
             -(-(p.size - skip) // 16) for p, skip in zip(ps, skips))
 
@@ -414,29 +416,54 @@ class TestChunkedPreemption:
 # ======================================================================
 class TestPrefixAwareAdmission:
     def test_shared_prompt_admits_earlier_than_cold(self, model):
-        """With a live donor, a same-prompt request's matched pages are
-        not charged against the free-block gauge."""
+        """A same-prompt request is charged none of the pages an
+        admitted prefill ahead of it registers, even in the same wave."""
         rng = np.random.default_rng(21)
         prompt = rng.integers(0, VOCAB, size=32)     # 2 pages at bt=16
         cold = rng.integers(0, VOCAB, size=32)
-        cfg = dict(max_batch_size=2, block_tokens=16, num_blocks=4)
+        cfg = dict(max_batch_size=2, block_tokens=16, num_blocks=3)
         warm = GenerationEngine(model, FP16KVCache, ServeConfig(**cfg))
         warm.submit(GenerationRequest("a", prompt, max_tokens=6))
         warm.submit(GenerationRequest("b", prompt, max_tokens=6))
         warm.step()
-        # a holds 2 prompt pages + 1 decode page; b's 2 pages are fully
-        # covered by a's live registered pages -> admitted same tick.
+        # a's 2 outstanding pages cover b's prompt, so b is charged 0 and
+        # admitted the same tick; it waits for a's pages instead of
+        # computing its own.
         assert warm.scheduler.n_running == 2
+        assert warm.stats().prefill_tokens == 32
         res = warm.generate()
         assert res["a"].tokens == res["b"].tokens
-        # The cold twin of the same shape must wait (charged 2 pages).
+        assert warm.pool.prefill_pages_hit >= 2
+        # The cold twin of the same shape is charged its 2 pages on top
+        # of a's 2 outstanding ones, over the 3-block pool: it waits.
         coldeng = GenerationEngine(model, FP16KVCache, ServeConfig(**cfg))
         coldeng.submit(GenerationRequest("a", prompt, max_tokens=6))
         coldeng.submit(GenerationRequest("b", cold, max_tokens=6))
         coldeng.step()
         assert coldeng.scheduler.n_running == 1
         assert coldeng.scheduler.queue_depth == 1
+        assert coldeng.stats().preemptions == 0
         coldeng.generate()                            # still completes FCFS
+
+    def test_resumed_head_is_charged_its_emitted_token(self, model):
+        """A sequence preempted after its first token is charged the page
+        of that emitted, not yet fed token at re-admission: admitted
+        before the pool can back it, it would run its last prompt page
+        and be preempted again at its next decode, over and over."""
+        rng = np.random.default_rng(24)
+        decoder = rng.integers(0, VOCAB, size=20)
+        long_prompt = rng.integers(0, VOCAB, size=112)
+        eng = GenerationEngine(model, FP16KVCache, ServeConfig.chunked(
+            max_batch_size=2, block_tokens=16, num_blocks=9))
+        res = eng.generate([GenerationRequest("a", decoder, max_tokens=60),
+                            GenerationRequest("b", long_prompt, max_tokens=3)])
+        st = eng.stats()
+        # "b" is preempted once, mid-prefill, and replays its prompt
+        # once; it then waits until "a" leaves room for its decode page.
+        assert st.preemptions == 1
+        assert st.prompt_tokens == 20 + 2 * 112
+        for rid, p, n in (("a", decoder, 60), ("b", long_prompt, 3)):
+            assert res[rid].tokens == single_stream(model, FP16KVCache, p, n)
 
     def test_probe_counts_only_live_blocks(self, model):
         """Cached-free (evictable) matches keep being charged: attaching
@@ -447,10 +474,11 @@ class TestPrefixAwareAdmission:
             max_batch_size=1, block_tokens=16, num_blocks=6))
         eng.generate([GenerationRequest("a", prompt, max_tokens=4)])
         pool = eng.pool
-        assert pool.probe_prefix(prompt) == 0        # donor gone: pages cached-free
+        hashes = list(pool.page_hashes(prompt))
+        assert pool.probe_prefix(hashes) == 0        # donor gone: pages cached-free
         eng.submit(GenerationRequest("b", prompt, max_tokens=4))
         eng.step()
-        assert pool.probe_prefix(prompt) == 2        # b holds them live
+        assert pool.probe_prefix(hashes) == 2        # b holds them live
         eng.generate()
 
     def test_probe_disabled_without_prefix_cache(self, model):
@@ -460,7 +488,7 @@ class TestPrefixAwareAdmission:
             max_batch_size=2, block_tokens=16, num_blocks=6,
             enable_prefix_cache=False))
         eng.generate([GenerationRequest("a", prompt, max_tokens=4)])
-        assert eng.pool.probe_prefix(prompt) == 0
+        assert eng.pool.probe_prefix(eng.pool.page_hashes(prompt)) == 0
 
 
 # ======================================================================

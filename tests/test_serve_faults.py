@@ -450,9 +450,10 @@ class TestAllocFaults:
     @pytest.mark.parametrize("transient", [False, True])
     def test_mid_decode_page_growth_alloc_fault(self, model, transient):
         # block_tokens=16, prompt ~8, max_tokens=16 → the victim crosses
-        # a page boundary mid-decode; after=1 skips its admission-alloc
-        # occasion so the fault lands on that growth allocation.
-        fi = FaultInjector().arm(ALLOC, "r1", after=1, transient=transient)
+        # a page boundary mid-decode; after=2 skips its admission-alloc
+        # and prompt-page occasions so the fault lands on that growth
+        # allocation.
+        fi = FaultInjector().arm(ALLOC, "r1", after=2, transient=transient)
         ps = prompts(2, seed=15, lo=7, hi=9)
         eng = make_engine(model, "paged", faults=fi, max_retries=1)
         for i, p in enumerate(ps):

@@ -1,4 +1,4 @@
-"""Prefix-cache hits skip their prefill compute in chunked engines.
+"""Prefix-cache hits skip their prefill compute.
 
 The load-bearing properties:
 
@@ -11,11 +11,16 @@ The load-bearing properties:
   raw-V channel maximum through that page, and it lives and dies with
   the page's hash registration: an evicted and reused block never
   serves stale state;
-* engine level: a chunked engine computes only the tokens past the
+* engine level: an engine computes only the tokens past the
   skipped pages (``prefill_tokens``), always at least the last prompt
   token, counts every admitted prompt token in ``prompt_tokens``, and
   keeps its guarantees under preemption mid-prefill, n>1 forks and
-  snapshot→restore.
+  snapshot→restore;
+* a prompt matches the prefix cache at its first chunk, not at
+  admission: requests admitted in one wave share the pages the first
+  of them computes, in whole-prompt and chunked engines alike; a
+  follower waits only for a donor the policy orders ahead of it, and
+  runs on its own once that donor leaves.
 """
 
 import functools
@@ -32,6 +37,7 @@ from repro.serve import (
     PrefillCursor,
     ServeConfig,
 )
+from repro.serve.faults import FORWARD, FaultInjector
 from repro.serve.paging import BlockPool
 
 from serve_testlib import assert_storage_baseline, single_stream
@@ -400,4 +406,96 @@ class TestEngineSkip:
         want = single_stream(model, factory, ps[1], 5)
         assert got == want and adopted == want
         assert_storage_baseline(fresh)
+        assert_storage_baseline(eng)
+
+
+# ======================================================================
+# Same-wave matching: a prompt matches at its first chunk
+# ======================================================================
+def same_wave_prompts(seed=41):
+    """8 prompts: one 128-token system prefix + 32 unique tokens each."""
+    rng = np.random.default_rng(seed)
+    system = rng.integers(0, VOCAB, size=128)
+    return [np.concatenate([system, rng.integers(0, VOCAB, size=32)])
+            for _ in range(8)]
+
+
+class TestSameWaveMatching:
+    @pytest.mark.parametrize("cache_name", list(CACHE_FACTORIES))
+    def test_same_wave_hits_whole_and_chunked(self, model, cache_name):
+        """Requests submitted together share the prefix pages the first
+        of them computes, in whole-prompt and chunked engines alike."""
+        factory = CACHE_FACTORIES[cache_name]
+        ps = same_wave_prompts()
+        refs = [single_stream(model, factory, p, 4) for p in ps]
+        for cfg in (ServeConfig(max_batch_size=8),
+                    ServeConfig.chunked(max_batch_size=8)):
+            eng = GenerationEngine(model, factory, cfg)
+            res = eng.generate([GenerationRequest(f"r{i}", p, max_tokens=4)
+                                for i, p in enumerate(ps)])
+            # The first request computes its 5 pages; the 7 others
+            # attach its 4 system pages and compute their own last one.
+            st = eng.stats()
+            assert eng.pool.prefill_pages_hit == 28
+            assert eng.pool.prefill_pages_total == 40
+            assert st.prompt_tokens == 8 * 160
+            assert st.prefill_tokens == 160 + 7 * 32
+            for i, ref in enumerate(refs):
+                assert res[f"r{i}"].tokens == ref
+            assert_storage_baseline(eng)
+
+    def test_follower_ordered_ahead_of_donor_is_not_deferred(self, model):
+        """Under the priority policy a later, higher-priority request
+        runs ahead: it computes the shared pages itself, and the
+        earlier, lower-priority one waits for them."""
+        factory = CACHE_FACTORIES["fp16"]
+        low, high = shared_prompts(2, seed=42)
+        eng = chunked_engine(model, factory, scheduler_policy="priority")
+        eng.submit(GenerationRequest("low", low, max_tokens=3))
+        eng.submit(GenerationRequest("high", high, max_tokens=3, priority=5))
+        eng.step()
+        seqs = {s.request.request_id: s for s in eng.scheduler.running}
+        assert seqs["high"].cursor.done == BT
+        assert seqs["low"].cursor.done == 0 and not seqs["low"].lease.matched
+        res = eng.generate()
+        assert eng.stats().prefill_tokens == high.size + low.size - 3 * BT
+        assert res["high"].tokens == single_stream(model, factory, high, 3)
+        assert res["low"].tokens == single_stream(model, factory, low, 3)
+        assert_storage_baseline(eng)
+
+    @pytest.mark.parametrize("cache_name", ["fp16", "mant4"])
+    @pytest.mark.parametrize("how", ["cancel", "evict"])
+    def test_deferred_follower_proceeds_without_its_donor(self, model,
+                                                          cache_name, how):
+        """A follower waiting for its donor's pages runs once the donor
+        leaves the prefill set — cancelled, or evicted by a retried
+        fault and re-admitted behind it."""
+        factory = CACHE_FACTORIES[cache_name]
+        donor, follower = shared_prompts(2, seed=43, lo=20, hi=30)
+        faults = (FaultInjector().arm(FORWARD, "donor", after=1, transient=True)
+                  if how == "evict" else None)
+        eng = GenerationEngine(model, factory, ServeConfig(
+            max_batch_size=4, block_tokens=BT, prefill_chunk_tokens=BT,
+            max_tokens_per_tick=2 * BT), faults=faults)
+        eng.submit(GenerationRequest("donor", donor, max_tokens=4))
+        eng.submit(GenerationRequest("follower", follower, max_tokens=4))
+        eng.step()                                    # donor's first chunk
+        waiting = eng.scheduler.running[1]
+        assert waiting.request.request_id == "follower"
+        assert waiting.cursor.done == 0 and not waiting.lease.matched
+        if how == "cancel":
+            eng.cancel("donor")
+        res = eng.generate()
+        want = single_stream(model, factory, follower, 4)
+        assert res["follower"].tokens == want
+        st = eng.stats()
+        if how == "cancel":
+            # Nothing was registered: the follower computes everything.
+            assert st.prefill_tokens == BT + follower.size
+        else:
+            # The follower, now ahead, computes everything; the replayed
+            # donor waits for it and skips the three system pages.
+            assert st.retries == 1
+            assert st.prefill_tokens == BT + follower.size + donor.size - 3 * BT
+            assert res["donor"].tokens == single_stream(model, factory, donor, 4)
         assert_storage_baseline(eng)

@@ -460,8 +460,10 @@ class TransformerLM:
         layer's cache writes — decode rows appended, chunk segments
         extended as ``prefill_chunk`` — are one
         :meth:`~repro.quant.kvcache.KVCache.write_layer` call, which
-        quantized caches pool into one K and one V quantize.  Every
-        segment is validated before any cache is written.  ``trace`` is
+        every cache class pools into one K and one V quantize.  Every
+        segment is validated before any cache is written; segments
+        whose caches differ in class or quantization config raise
+        ``ValueError``.  ``trace`` is
         :meth:`decode_step_batch`'s span factory.
 
         Returns one entry per segment: last-position logits ``(V,)``

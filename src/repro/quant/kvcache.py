@@ -20,7 +20,11 @@ is modelled in :mod:`repro.hardware.rqu`.
 
 Writes are pooled per layer: the model hands each layer's whole tick —
 one token for every decoding sequence plus every prompt chunk — to one
-:meth:`KVCache.write_layer` call.  :class:`MantKVCache` answers it with
+:meth:`KVCache.write_layer` call, the one write each cache class
+implements.  Its caches share one class and quantization config (a
+mixed write raises before any cache changes).  FP16 and INT caches
+answer it with one quantize over every K row and one over every V row
+(groups along ``d_head``); :class:`MantKVCache` with
 one K quantize (every row written:
 :meth:`~repro.core.codec.MantCodec.select_qdq`, grouped and reduced
 once) and one V quantize (every window completing: full prompt windows
@@ -30,15 +34,16 @@ tokens selected from their streaming statistics, concatenated into one
 gather; no per-group coefficient array is built.  Quantization
 groups are row-independent, so the pooled result is byte-equal to
 per-cache writes; the per-cache streaming state and storage writes keep
-the per-cache order.  ``prefill``, ``prefill_chunk``, ``append`` and
-``append_batch`` are that same writer with one segment.
+the per-cache order.  For every class, ``prefill_chunk``, ``append``
+and ``append_batch`` are that same writer with one segment, and
+``prefill`` is one final chunk on an emptied cache.
 
 Storage is a preallocated ``(heads, capacity, d_head)`` buffer per
 tensor with amortized doubling (Anda-style grouped layout): appends are
 O(1) amortized and ``keys()``/``values()`` return zero-copy views, so a
 T-token generation costs O(T) cache work instead of the O(T²) a
 concatenate-per-read layout pays.  Returned views are *read-only*,
-alias the cache's storage and are only valid until the next ``append``
+alias the cache's storage and are only valid until the next write
 — consume them (or copy) before mutating the cache, which is exactly
 how the attention loop uses them.
 
@@ -157,51 +162,16 @@ class TokenBuffer:
             raise ValueError(f"tail({n}) exceeds buffer length {self._len}")
         return self._buf[:, self._len - n : self._len]
 
-
 class KVCache:
     """Interface the attention layer drives.
 
-    Shapes: ``prefill`` takes ``(n_heads, seq, d_head)``; ``append``
-    takes one token's ``(n_heads, d_head)``.  ``keys()``/``values()``
-    return the effective (quantization-degraded) cache contents as
-    zero-copy views valid until the next mutation.
+    Each cache class implements one write, :meth:`write_layer`: a
+    layer's whole tick of K/V.  :meth:`prefill_chunk`, :meth:`append`
+    and :meth:`append_batch` are one-segment calls of it, the same for
+    every class.  ``keys()``/``values()`` return the effective
+    (quantization-degraded) cache contents as zero-copy views valid
+    until the next mutation.
     """
-
-    def prefill(self, k: np.ndarray, v: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def prefill_chunk(self, k: np.ndarray, v: np.ndarray, final: bool = False) -> None:
-        """Extend a prompt prefill by one ``(n_heads, t, d_head)`` chunk.
-
-        Feeding a prompt through successive ``prefill_chunk`` calls
-        (``final=True`` on the last) must leave the cache *bit-identical*
-        to one :meth:`prefill` of the concatenation — the invariant the
-        chunked-prefill serving pipeline rests on.  Non-final chunks of
-        caches with temporal quantization state (the MANT V window) must
-        be a multiple of that window so no group straddles a chunk
-        boundary (serving gets this from chunks that fill whole pages,
-        see :func:`repro.serve.paging.validate_block_compat`); the final
-        chunk may be ragged, its remainder entering staging exactly as
-        in :meth:`prefill`.
-        """
-        raise NotImplementedError
-
-    def append(self, k_t: np.ndarray, v_t: np.ndarray) -> None:
-        raise NotImplementedError
-
-    @classmethod
-    def append_batch(cls, caches: list, k_batch: np.ndarray, v_batch: np.ndarray) -> None:
-        """Append one token to each of ``caches`` (``k/v_batch`` are
-        ``(B, n_heads, d_head)``, row ``b`` for cache ``b``).
-
-        The default is the per-cache loop; quantized subclasses fuse the
-        group-wise quantization math across the batch — bit-identical
-        (groups are row-independent) but one vectorized call instead of
-        ``B``, which is what makes batched decode throughput scale for
-        quantized caches.
-        """
-        for cache, k_t, v_t in zip(caches, k_batch, v_batch):
-            cache.append(k_t, v_t)
 
     @classmethod
     def write_layer(cls, decode_caches: list, k_dec, v_dec, chunks: list) -> None:
@@ -210,16 +180,39 @@ class KVCache:
         ``decode_caches`` each take one token (``k_dec``/``v_dec`` are
         ``(B, n_heads, d_head)``, row ``b`` for cache ``b``); ``chunks``
         is a list of ``(cache, k, v, final)`` prompt chunks
-        (``(n_heads, t, d_head)``) fed as :meth:`prefill_chunk`.  The
-        default is exactly that: the decode rows' :meth:`append_batch`,
-        then each chunk's :meth:`prefill_chunk`, in order.  Quantized
-        subclasses pool the quantization math across every write of the
-        layer; per-cache state and storage writes keep this order.
+        (``(n_heads, t, d_head)``).  The result is that of the
+        per-segment writes — each decode row, then each chunk, in order
+        — and per-cache state and storage writes keep that order.
+
+        Feeding a prompt through successive chunks (``final=True`` on
+        the last) must leave the cache *bit-identical* to one final
+        chunk of the concatenation on an empty cache — the invariant
+        the chunked-prefill serving pipeline rests on.  Non-final chunks
+        of caches with temporal quantization state (the MANT V window)
+        must be a multiple of that window so no group straddles a chunk
+        boundary (serving gets this from chunks that fill whole pages,
+        see :func:`repro.serve.paging.validate_block_compat`); the final
+        chunk may be ragged.
+
+        The whole write is validated before any cache changes: caches
+        that do not share one class and quantization config raise
+        ``ValueError``.
         """
-        if decode_caches:
-            type(decode_caches[0]).append_batch(decode_caches, k_dec, v_dec)
-        for cache, k, v, final in chunks:
-            cache.prefill_chunk(k, v, final=final)
+        raise NotImplementedError
+
+    def prefill_chunk(self, k: np.ndarray, v: np.ndarray, final: bool = False) -> None:
+        """Extend a prompt prefill by one ``(n_heads, t, d_head)`` chunk."""
+        type(self).write_layer([], None, None, [(self, k, v, final)])
+
+    def append(self, k_t: np.ndarray, v_t: np.ndarray) -> None:
+        """Append one token's ``(n_heads, d_head)`` K and V."""
+        type(self).write_layer([self], np.asarray(k_t)[None], np.asarray(v_t)[None], [])
+
+    @classmethod
+    def append_batch(cls, caches: list, k_batch: np.ndarray, v_batch: np.ndarray) -> None:
+        """Append one token to each of ``caches`` (``k/v_batch`` are
+        ``(B, n_heads, d_head)``, row ``b`` for cache ``b``)."""
+        cls.write_layer(caches, k_batch, v_batch, [])
 
     def prefix_state(self, n_tokens: int):
         """State besides the K/V pages that a sequence adopting this
@@ -255,8 +248,67 @@ class KVCache:
         raise NotImplementedError
 
 
+def _unpoolable(first: type, other: type) -> ValueError:
+    return ValueError(
+        f"cannot write a {other.__name__} in one write_layer call with a "
+        f"{first.__name__}: a pooled write takes caches of one class and "
+        "one quantization config"
+    )
+
+
+def _check_write(decode_caches: list, k_dec, v_dec, chunks: list):
+    """Validate a whole :meth:`KVCache.write_layer` before any cache
+    changes; returns its first cache and its arrays as float64.
+
+    Every cache must pool with the first (same class and config), the
+    decode block must be one ``(n_heads, d_head)`` token per decode
+    cache in each cache's established geometry, and every chunk must
+    pass its cache's ``_check_chunk``.
+    """
+    first = decode_caches[0] if decode_caches else chunks[0][0]
+    if decode_caches:
+        k_dec = np.asarray(k_dec, dtype=np.float64)
+        v_dec = np.asarray(v_dec, dtype=np.float64)
+        if k_dec.ndim != 3 or len(k_dec) != len(decode_caches):
+            raise ValueError(
+                "k_t must be one token shaped (n_heads, d_head) per decode "
+                f"cache, got {k_dec.shape} for {len(decode_caches)} caches"
+            )
+        if v_dec.shape != k_dec.shape:
+            raise ValueError(
+                f"v_t shape {v_dec.shape[1:]} does not match k_t's {k_dec.shape[1:]}")
+        geom = k_dec.shape[1:]
+        for c in decode_caches:
+            if c is not first and not first._pools_with(c):
+                raise _unpoolable(type(first), type(c))
+            buf = c._k
+            if buf is not None and (buf.heads, buf.d_head) != geom:
+                raise ValueError(
+                    f"k_t shape {geom} does not match this cache's established "
+                    f"(n_heads, d_head)=({buf.heads}, {buf.d_head})"
+                )
+    chunks = [
+        (c, np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64), final)
+        for c, k, v, final in chunks
+    ]
+    for c, k, v, final in chunks:
+        if c is not first and not first._pools_with(c):
+            raise _unpoolable(type(first), type(c))
+        c._check_chunk(k, v, final)
+    return first, k_dec, v_dec, chunks
+
+
+def _pooled_rows(block, chunks: list, role: int, d_head: int) -> np.ndarray:
+    """Every K (``role`` 1) or V (``role`` 2) row a write stores, as one
+    ``(rows, d_head)`` array: the decode block's, then each chunk's."""
+    parts = [] if block is None else [block.reshape(-1, d_head)]
+    parts += [seg[role].reshape(-1, d_head) for seg in chunks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class _BufferedKVCache(KVCache):
-    """Shared buffer plumbing: subclasses only define the quantizers."""
+    """Buffer plumbing, plus the pooled write of caches that quantize
+    per token (groups along ``d_head``): subclasses define ``_q``."""
 
     def __init__(self):
         self._k: TokenBuffer | None = None
@@ -291,23 +343,63 @@ class _BufferedKVCache(KVCache):
         self._k.adopt(n_tokens)
         self._v.adopt(n_tokens)
 
-    def _validate_token(self, name: str, arr: np.ndarray) -> None:
-        """Reject appends whose head geometry drifts from the cache's.
+    def prefill(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Whole-prompt prefill of ``(n_heads, seq, d_head)``: the cache
+        emptied, then one final chunk."""
+        self._k = self._v = None
+        self.prefill_chunk(k, v, final=True)
 
-        Without this, a ``(n_heads, d_head)`` mismatch against the
-        first append surfaces later as a cryptic broadcast error deep
-        inside the buffer or the staging quantizer.
-        """
-        if arr.ndim != 2:
+    def _q(self, x: np.ndarray) -> np.ndarray:
+        """Fake-quantize ``(rows, d_head)`` K or V rows (FP16: none)."""
+        return x
+
+    def _pools_with(self, other) -> bool:
+        """True when ``other``'s writes can share this cache's
+        quantization calls (same class and config)."""
+        return type(other) is type(self)
+
+    def _check_chunk(self, k: np.ndarray, v: np.ndarray, final: bool) -> None:
+        """Reject a prefill chunk this cache cannot take, before any write."""
+        if k.ndim != 3 or k.shape != v.shape:
             raise ValueError(
-                f"{name} must be one token shaped (n_heads, d_head), "
-                f"got {arr.ndim}-D shape {arr.shape}"
+                f"prefill chunk k/v must be matching (n_heads, t, d_head), "
+                f"got {k.shape} and {v.shape}"
             )
-        if self._k is not None and arr.shape != (self._k.heads, self._k.d_head):
+        if self._k is not None and (k.shape[0], k.shape[2]) != (
+                self._k.heads, self._k.d_head):
             raise ValueError(
-                f"{name} shape {arr.shape} does not match this cache's "
-                f"established (n_heads, d_head)=({self._k.heads}, {self._k.d_head})"
+                f"prefill chunk (n_heads, d_head)=({k.shape[0]}, "
+                f"{k.shape[2]}) does not match this cache's "
+                f"({self._k.heads}, {self._k.d_head})"
             )
+
+    @classmethod
+    def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
+        """One ``_q`` over every K row written this tick (decode rows and
+        chunk tokens alike), one over every V row, then each cache's
+        appends in order.  Groups run along ``d_head``, so the pooled
+        rows quantize exactly as per-cache writes do."""
+        if not decode_caches and not chunks:
+            return
+        first, k_dec, v_dec, chunks = _check_write(decode_caches, k_dec, v_dec, chunks)
+        d_head = (k_dec if decode_caches else chunks[0][1]).shape[-1]
+        kq = first._q(_pooled_rows(k_dec, chunks, 1, d_head))
+        vq = first._q(_pooled_rows(v_dec, chunks, 2, d_head))
+        off = 0
+        for c in decode_caches:
+            heads = k_dec.shape[1]
+            if c._k is None:
+                c._reset_buffers(heads, d_head, 16)
+            c._k.append(kq[off:off + heads])
+            c._v.append(vq[off:off + heads])
+            off += heads
+        for c, k, _, _ in chunks:
+            heads, t, _ = k.shape
+            if c._k is None:
+                c._reset_buffers(heads, d_head, t)
+            c._k.append(kq[off:off + heads * t].reshape(heads, t, d_head))
+            c._v.append(vq[off:off + heads * t].reshape(heads, t, d_head))
+            off += heads * t
 
     def keys(self) -> np.ndarray:
         return self._k.view() if self._k is not None else _EMPTY
@@ -322,33 +414,6 @@ class _BufferedKVCache(KVCache):
 
 class FP16KVCache(_BufferedKVCache):
     """No quantization — the baselines' 16-bit attention path."""
-
-    def prefill(self, k, v):
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        heads, seq, d_head = k.shape
-        self._reset_buffers(heads, d_head, seq)
-        self._k.append(k)
-        self._v.append(v)
-
-    def prefill_chunk(self, k, v, final=False):
-        # Unquantized storage is trivially chunk-invariant: the first
-        # chunk is a plain prefill, later chunks extend.
-        if self._k is None:
-            self.prefill(k, v)
-            return
-        self._k.append(np.asarray(k, dtype=np.float64))
-        self._v.append(np.asarray(v, dtype=np.float64))
-
-    def append(self, k_t, v_t):
-        k_t = np.asarray(k_t, dtype=np.float64)
-        v_t = np.asarray(v_t, dtype=np.float64)
-        self._validate_token("k_t", k_t)
-        self._validate_token("v_t", v_t)
-        if self._k is None:
-            self._reset_buffers(*k_t.shape, capacity=16)
-        self._k.append(k_t)
-        self._v.append(v_t)
 
 
 def _fp16_nonzero(scale: np.ndarray) -> np.ndarray:
@@ -396,56 +461,9 @@ class IntKVCache(_BufferedKVCache):
         g = min(self.group_size, x.shape[-1])
         return _int_qdq_lastaxis(x, self.bits, g)
 
-    def prefill(self, k, v):
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        heads, seq, d_head = k.shape
-        self._reset_buffers(heads, d_head, seq)
-        self._k.append(self._q(k))
-        self._v.append(self._q(v))
-
-    def prefill_chunk(self, k, v, final=False):
-        # Group-wise INT quantization is per token (groups along
-        # d_head), so chunk composition cannot change any group: the
-        # first chunk is a plain prefill, later chunks extend.
-        if self._k is None:
-            self.prefill(k, v)
-            return
-        self._k.append(self._q(np.asarray(k, dtype=np.float64)))
-        self._v.append(self._q(np.asarray(v, dtype=np.float64)))
-
-    def append(self, k_t, v_t):
-        k_t = np.asarray(k_t, dtype=np.float64)
-        v_t = np.asarray(v_t, dtype=np.float64)
-        self._validate_token("k_t", k_t)
-        self._validate_token("v_t", v_t)
-        if self._k is None:
-            self._reset_buffers(*k_t.shape, capacity=16)
-        self._k.append(self._q(k_t))
-        self._v.append(self._q(v_t))
-
-    @classmethod
-    def append_batch(cls, caches, k_batch, v_batch):
-        """Fused batch append: one group-wise INT quantization for all rows."""
-        k_batch = np.asarray(k_batch, dtype=np.float64)
-        v_batch = np.asarray(v_batch, dtype=np.float64)
-        first = caches[0]
-        if not all(
-            type(c) is cls and c.bits == first.bits
-            and c.group_size == first.group_size for c in caches
-        ):
-            super().append_batch(caches, k_batch, v_batch)
-            return
-        for c, k_t, v_t in zip(caches, k_batch, v_batch):
-            c._validate_token("k_t", k_t)
-            c._validate_token("v_t", v_t)
-        kq = first._q(k_batch)          # (B, heads, d_head), rows independent
-        vq = first._q(v_batch)
-        for b, c in enumerate(caches):
-            if c._k is None:
-                c._reset_buffers(*k_batch[b].shape, capacity=16)
-            c._k.append(kq[b])
-            c._v.append(vq[b])
+    def _pools_with(self, other) -> bool:
+        return (type(other) is type(self) and other.bits == self.bits
+                and other.group_size == self.group_size)
 
 
 def _fp16_scale(ch_max: np.ndarray, itype: IntType) -> np.ndarray:
@@ -461,10 +479,6 @@ class MantKVCache(_BufferedKVCache):
     and the INT8-staged suffix behind it; closing a window re-quantizes
     the staged region *in place*, so ``values()`` is always one
     zero-copy view regardless of staging state.
-
-    Every write — :meth:`prefill`, :meth:`prefill_chunk`, :meth:`append`
-    and :meth:`append_batch` — is one :meth:`write_layer` call, the
-    single write path.
 
     Parameters
     ----------
@@ -512,17 +526,13 @@ class MantKVCache(_BufferedKVCache):
     # ------------------------------------------------------------------
     # Shared: variance-selected MANT fake-quant along the last axis
     # ------------------------------------------------------------------
-    def _codec_for(self, g: int) -> MantCodec:
-        return self._codec if g == self.group_size else MantCodec(self.bits, g)
-
-    def _mant_qdq_lastaxis(self, x: np.ndarray) -> np.ndarray:
+    def _q(self, x: np.ndarray) -> np.ndarray:
         g = min(self.group_size, x.shape[-1])
-        return self._codec_for(g).select_qdq(x, self.selector)
+        codec = self._codec if g == self.group_size else MantCodec(self.bits, g)
+        return codec.select_qdq(x, self.selector)
 
     def _pools_with(self, other) -> bool:
-        """True when ``other``'s writes can share this cache's
-        quantization calls (same class, policy and geometry knobs)."""
-        return other is self or (
+        return (
             type(other) is type(self)
             and other.selector.same_policy(self.selector)
             and other.bits == self.bits
@@ -540,23 +550,10 @@ class MantKVCache(_BufferedKVCache):
         self._acc_max = np.zeros((heads, d_head))
 
     def _check_chunk(self, k: np.ndarray, v: np.ndarray, final: bool) -> None:
-        """Reject a prefill chunk this cache cannot take, before any write."""
-        if k.ndim != 3 or k.shape != v.shape:
-            raise ValueError(
-                f"prefill chunk k/v must be matching (n_heads, t, d_head), "
-                f"got {k.shape} and {v.shape}"
-            )
-        if self._k is not None:
-            if self._chunk_ch_max is None:
-                raise RuntimeError(
-                    "prefill_chunk on a cache whose prefill already completed"
-                )
-            if (k.shape[0], k.shape[2]) != (self._k.heads, self._k.d_head):
-                raise ValueError(
-                    f"prefill chunk (n_heads, d_head)=({k.shape[0]}, "
-                    f"{k.shape[2]}) does not match this cache's "
-                    f"({self._k.heads}, {self._k.d_head})"
-                )
+        super()._check_chunk(k, v, final)
+        if self._k is not None and self._chunk_ch_max is None:
+            raise RuntimeError(
+                "prefill_chunk on a cache whose prefill already completed")
         t = k.shape[1]
         if not final and t % self.window:
             raise ValueError(
@@ -566,12 +563,6 @@ class MantKVCache(_BufferedKVCache):
             )
 
     # ------------------------------------------------------------------
-    def prefill(self, k, v):
-        """Whole-prompt prefill: a fresh cache's one final chunk."""
-        self._k = self._v = None
-        self._stage_scale = self._chunk_ch_max = None
-        self.prefill_chunk(k, v, final=True)
-
     def prefix_state(self, n_tokens):
         """The cumulative raw-V channel maxima through ``n_tokens`` —
         the staging scales of Fig. 8 come from the *whole* prompt's
@@ -603,37 +594,15 @@ class MantKVCache(_BufferedKVCache):
     def drop_prefix_state(self):
         self._win_max = None
 
-    def prefill_chunk(self, k, v, final=False):
-        """One window-aligned slice of a chunked prompt prefill.
-
-        Bit-identical to :meth:`prefill` of the concatenation: K rows
-        and full V windows are quantized per token / per window (chunk-
-        composition invariant by construction), while the INT8 staging
-        channel scales — which :meth:`prefill` derives from the *whole*
-        prompt — accumulate as running channel maxima across chunks and
-        are only fixed on the final chunk, immediately before the
-        sub-window remainder enters staging.  Non-final chunks must be a
-        multiple of ``window``; only the final chunk may be ragged.
-        """
-        type(self).write_layer([], None, None, [(self, k, v, final)])
-
-    def append(self, k_t, v_t):
-        k_t = np.asarray(k_t, dtype=np.float64)
-        v_t = np.asarray(v_t, dtype=np.float64)
-        type(self).write_layer([self], k_t[None], v_t[None], [])
-
-    @classmethod
-    def append_batch(cls, caches, k_batch, v_batch):
-        """One token per cache: a decode-only :meth:`write_layer`."""
-        cls.write_layer(caches, k_batch, v_batch, [])
-
     @classmethod
     def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
         """One layer's KV writes for a tick, quantized in pooled calls.
 
         Group-wise quantization is row-independent, so pooling is
         bit-identical to per-cache writes.  Every write is validated
-        before any cache changes.  Then, across all caches of the layer:
+        and every quantize of the tick runs before the first storage
+        write, so a rejected or overflowing write changes no cache.
+        Across all caches of the layer:
 
         * one :meth:`~repro.core.codec.MantCodec.select_qdq` over every
           K row written (the decode rows and every chunk's tokens —
@@ -643,111 +612,112 @@ class MantKVCache(_BufferedKVCache):
         * one :meth:`~repro.core.codec.MantCodec.qdq_ids` over every V
           window completing (phase 2), its range ids concatenated from
           the windows this tick's decode rows close (their streaming
-          accumulators) and the chunks' full windows (their data; full
-          prompt windows skip staging, both inner-dimension data being
-          available), its absmax taken from the rows.
+          accumulators plus the row) and the chunks' full windows (their
+          data; full prompt windows skip staging, both inner-dimension
+          data being available), its absmax taken from the rows.  A
+          closing window's rows are its staged rows, read through the
+          read-only :meth:`values` view, plus the new staged row.
+
+        Chunked prefill: K rows and full V windows are quantized per
+        token / per window (chunk-composition invariant by
+        construction), while the INT8 staging channel scales — which a
+        whole-prompt prefill derives from the *whole* prompt —
+        accumulate as running channel maxima across chunks and are only
+        fixed on the final chunk, immediately before the sub-window
+        remainder enters staging.  A decode row on an empty cache
+        bootstraps its staging scales from its own first vector.
 
         Per-cache accumulators, staging scales and storage writes stay
-        per cache, in the order :meth:`KVCache.write_layer` uses (every
-        decode cache's K then V row, closed windows rewritten in place,
-        then each chunk's K, full V windows and staged remainder), so
-        page allocation is unchanged.  Caches that cannot pool (another
-        class or config) fall back to per-cache writes.
+        per cache, in :meth:`KVCache.write_layer`'s order (every decode
+        cache's K then V row, a closed window rewritten in place, then
+        each chunk's K, full V windows and staged remainder), so page
+        allocation is that of per-segment writes.
         """
-        caches = [*decode_caches, *(c for c, _, _, _ in chunks)]
-        if not caches:
+        if not decode_caches and not chunks:
             return
-        first = caches[0]
-        if not all(first._pools_with(c) for c in caches):
-            for b, c in enumerate(decode_caches):
-                c.append(k_dec[b], v_dec[b])
-            for c, k, v, final in chunks:
-                c.prefill_chunk(k, v, final=final)
-            return
-
-        # -- validate everything before the first write --------------
-        n_dec = len(decode_caches)
-        if n_dec:
-            k_dec = np.asarray(k_dec, dtype=np.float64)
-            v_dec = np.asarray(v_dec, dtype=np.float64)
-            for c, k_t, v_t in zip(decode_caches, k_dec, v_dec):
-                c._validate_token("k_t", k_t)
-                c._validate_token("v_t", v_t)
-                if c._chunk_ch_max is not None:
-                    raise RuntimeError(
-                        "append during an unfinished chunked prefill — feed "
-                        "the last chunk with prefill_chunk(..., final=True) first"
-                    )
-        chunks = [
-            (c, np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64), final)
-            for c, k, v, final in chunks
-        ]
-        for c, k, v, final in chunks:
-            c._check_chunk(k, v, final)
-
-        # -- pooled math (no cache state touched) --------------------
+        first, k_dec, v_dec, chunks = _check_write(decode_caches, k_dec, v_dec, chunks)
+        for c in decode_caches:
+            if c._chunk_ch_max is not None and c._k is not None:
+                raise RuntimeError(
+                    "append during an unfinished chunked prefill — feed "
+                    "the last chunk with prefill_chunk(..., final=True) first"
+                )
         window = first.window
+        n_dec = len(decode_caches)
         d_head = (k_dec if n_dec else chunks[0][1]).shape[-1]
-        kq = first._mant_qdq_lastaxis(np.concatenate(
-            ([k_dec.reshape(-1, d_head)] if n_dec else [])
-            + [k.reshape(-1, d_head) for _, k, _, _ in chunks]
-        ))
+
+        # -- every quantize of the tick, before any cache changes ----
+        kq = first._q(_pooled_rows(k_dec, chunks, 1, d_head))
+        heads = k_dec.shape[1] if n_dec else 0
+        rows, closing = [], []
         if n_dec:
-            # Decode without prefill bootstraps its staging scales from
-            # its first vector, fp16-rounded like the prefill path (Fig. 8
-            # stores 16-bit channel scales however the cache started).
-            boot = [c._stage_scale is None for c in decode_caches]
+            # Decode on an empty cache bootstraps its staging scales
+            # from its first vector, fp16-rounded like the prefill path
+            # (Fig. 8 stores 16-bit channel scales however the cache
+            # started).
+            boot = [c._k is None for c in decode_caches]
             scales = np.stack([
                 _fp16_scale(np.where(np.abs(v_t) <= 0, 1.0, np.abs(v_t)), c._int8)
                 if b else c._stage_scale
                 for c, v_t, b in zip(decode_caches, v_dec, boot)
             ])
             vq = first._int8.round_clip(v_dec / scales) * scales
-
             # One token's window stats (Σv, Σv², max|v|) for every row.
             v_sq, v_abs = v_dec * v_dec, np.abs(v_dec)
-
-        # -- decode rows: per-cache K / staged V writes, in order ----
-        closing = []
-        for b, c in enumerate(decode_caches):
-            heads = k_dec.shape[1]
-            if boot[b]:
-                c._stage_scale = scales[b]
-                c._reset_buffers(heads, d_head, 16)
-                c._v_final = 0
-                c._reset_window(heads, d_head)
-            c._k.append(kq[b * heads:(b + 1) * heads])
-            c._v.append(vq[b])
-            c._acc_sum += v_dec[b]
-            c._acc_sqsum += v_sq[b]
-            np.maximum(c._acc_max, v_abs[b], out=c._acc_max)
-            if len(c._v) - c._v_final == window:
-                closing.append(c)
-
-        # -- every V window completing this tick: one qdq tail, range
-        # ids from each window's source ----------------------------
-        rows = [np.moveaxis(c._v.tail(window), 1, -1).reshape(-1, window)
-                for c in closing]
-        for _, _, v, _ in chunks:
-            heads, t, _ = v.shape
-            n_win = t // window
-            if n_win:
-                w = v[:, :n_win * window].reshape(heads, n_win, window, d_head)
+            closes = [(0 if fresh else len(c._v) - c._v_final) == window - 1
+                      for c, fresh in zip(decode_caches, boot)]
+            closing = [b for b, shut in enumerate(closes) if shut]
+            for b in closing:
+                c = decode_caches[b]
+                win = vq[b][:, None, :]
+                if window > 1:
+                    win = np.concatenate(
+                        [np.asarray(c.values())[:, c._v_final:], win], axis=1)
+                rows.append(np.moveaxis(win, 1, -1).reshape(-1, window))
+        # Per chunk: its running channel maxima at each full window's
+        # end, at its end, and the staging scales a final chunk fixes.
+        plans = []
+        for c, _, v, final in chunks:
+            heads_c, t, _ = v.shape
+            v_abs_c = np.abs(v)
+            full = (t // window) * window
+            ch_max = (np.zeros((heads_c, d_head)) if c._k is None
+                      else c._chunk_ch_max)
+            w_max = None
+            if full:
+                w_max = v_abs_c[:, :full].reshape(
+                    heads_c, full // window, window, d_head).max(axis=2)
+                np.maximum(w_max[:, 0], ch_max, out=w_max[:, 0])
+                np.maximum.accumulate(w_max, axis=1, out=w_max)
+                ch_max = w_max[:, -1].copy()
+                w = v[:, :full].reshape(heads_c, full // window, window, d_head)
                 rows.append(np.moveaxis(w, 2, -1).reshape(-1, window))
+            if full < t:
+                ch_max = np.maximum(ch_max, v_abs_c[:, full:].max(axis=1))
+            scale = None
+            if final:
+                scale = _fp16_scale(np.where(ch_max <= 0, 1.0, ch_max), c._int8)
+            plans.append((w_max, ch_max, scale))
         if rows:
             # (n_windows·channels, 1, window): one group per row.
             groups = np.concatenate(rows)[:, None, :]
             amax = _group_absmax(groups)
             base = _scale_base(amax)
-            n_close = sum(c._v.heads for c in closing) * d_head
+            n_close = len(closing) * heads * d_head
             ids = []
             if closing:
-                # Closing windows select from their streaming stats ...
+                # Closing windows select from their streaming stats (a
+                # cache's accumulators plus this tick's row; an empty
+                # cache has none) ...
+                def stat(attr, row, op):
+                    return np.stack([
+                        op(0.0 if boot[b] else getattr(decode_caches[b], attr), row[b])
+                        for b in closing])
+
                 n = float(window)
-                acc_sum = np.stack([c._acc_sum for c in closing])
-                acc_max = np.stack([c._acc_max for c in closing])
-                mean = acc_sum / n
-                var = np.stack([c._acc_sqsum for c in closing]) / n - mean * mean
+                mean = stat("_acc_sum", v_dec, np.add) / n
+                var = stat("_acc_sqsum", v_sq, np.add) / n - mean * mean
+                acc_max = stat("_acc_max", v_abs, np.maximum)
                 acc_max = np.where(acc_max <= 0, 1.0, acc_max)
                 norm_var = np.clip(var, 0.0, None) / (acc_max * acc_max)
                 ids.append(first.selector.variance_ids(norm_var).reshape(-1, 1))
@@ -758,59 +728,57 @@ class MantKVCache(_BufferedKVCache):
                 groups, amax, first.selector, np.concatenate(ids), base
             ).reshape(-1, window)
 
-        # -- closed windows: 4-bit MANT in place ---------------------
+        # -- decode rows: K row, staged V row, closed window in place -
         off = 0
-        for c in closing:
-            heads = c._v.heads
-            out = vout[off:off + heads * d_head].reshape(heads, d_head, window)
-            c._v.tail(window)[:] = np.moveaxis(out, -1, 1)
-            off += heads * d_head
-            c._v_final += window
-            c._reset_window(heads, d_head)
-
-        # -- chunks: K rows, full V windows, staged remainder --------
-        k_off = n_dec * k_dec.shape[1] if n_dec else 0
-        for c, k, v, final in chunks:
-            heads, t, _ = v.shape
-            if c._k is None:
-                c._reset_buffers(heads, d_head, t)
+        for b, c in enumerate(decode_caches):
+            if boot[b]:
+                c._stage_scale = scales[b]
+                c._chunk_ch_max = None
+                c._reset_buffers(heads, d_head, 16)
                 c._v_final = 0
                 c._reset_window(heads, d_head)
-                c._chunk_ch_max = np.zeros((heads, d_head))
+            c._k.append(kq[b * heads:(b + 1) * heads])
+            c._v.append(vq[b])
+            if closes[b]:
+                out = vout[off:off + heads * d_head].reshape(heads, d_head, window)
+                c._v.tail(window)[:] = np.moveaxis(out, -1, 1)
+                off += heads * d_head
+                c._v_final += window
+                c._reset_window(heads, d_head)
+            else:
+                c._acc_sum += v_dec[b]
+                c._acc_sqsum += v_sq[b]
+                np.maximum(c._acc_max, v_abs[b], out=c._acc_max)
+
+        # -- chunks: K rows, full V windows, staged remainder --------
+        k_off = n_dec * heads
+        for (c, k, v, final), (w_max, ch_max, scale) in zip(chunks, plans):
+            heads_c, t, _ = v.shape
+            if c._k is None:
+                c._reset_buffers(heads_c, d_head, t)
+                c._v_final = 0
+                c._reset_window(heads_c, d_head)
                 c._win_max = []
-            c._k.append(kq[k_off:k_off + heads * t].reshape(heads, t, d_head))
-            k_off += heads * t
-            v_abs = np.abs(v)
+            c._k.append(kq[k_off:k_off + heads_c * t].reshape(heads_c, t, d_head))
+            k_off += heads_c * t
             full = (t // window) * window
             if full:
-                # Running channel maxima at each full window's end (the
-                # last is the chunk's running max over its full windows).
-                w_max = v_abs[:, :full].reshape(
-                    heads, full // window, window, d_head).max(axis=2)
-                np.maximum(w_max[:, 0], c._chunk_ch_max, out=w_max[:, 0])
-                np.maximum.accumulate(w_max, axis=1, out=w_max)
                 c._win_max.extend(w_max.transpose(1, 0, 2))
-                c._chunk_ch_max = w_max[:, -1].copy()
-            if full < t:
-                np.maximum(c._chunk_ch_max, v_abs[:, full:].max(axis=1),
-                           out=c._chunk_ch_max)
-            if full:
-                out = vout[off:off + heads * (full // window) * d_head]
+                out = vout[off:off + heads_c * (full // window) * d_head]
                 off += out.shape[0]
                 c._v.append(np.moveaxis(
-                    out.reshape(heads, full // window, d_head, window), -1, 2
-                ).reshape(heads, full, d_head))
+                    out.reshape(heads_c, full // window, d_head, window), -1, 2
+                ).reshape(heads_c, full, d_head))
                 c._v_final += full
+            c._chunk_ch_max = None if final else ch_max
             if final:
-                ch_max = np.where(c._chunk_ch_max <= 0, 1.0, c._chunk_ch_max)
-                c._stage_scale = _fp16_scale(ch_max, c._int8)
-                c._chunk_ch_max = None
+                c._stage_scale = scale
                 if full < t:
                     # The sub-window remainder enters INT8 staging and
                     # opens the first window's streaming stats.
                     rest = v[:, full:, :]
-                    scale = c._stage_scale[:, None, :]
-                    c._v.append(c._int8.round_clip(rest / scale) * scale)
+                    s = scale[:, None, :]
+                    c._v.append(c._int8.round_clip(rest / s) * s)
                     c._acc_sum += rest.sum(axis=1)
                     c._acc_sqsum += (rest * rest).sum(axis=1)
                     c._acc_max = np.maximum(c._acc_max, np.max(np.abs(rest), axis=1))

@@ -79,6 +79,7 @@ from repro.quant.kvcache import (
     MantKVCache,
     _BufferedKVCache,
     _promote_token_block,
+    _unpoolable,
 )
 
 __all__ = [
@@ -724,22 +725,17 @@ class PagedKVCache(KVCache):
     Wraps one buffered cache (FP16/INT4/MANT4) whose storage is paged;
     the quantization math runs entirely in the wrapped class, so the
     paged cache is bit-identical to the flat one per construction.
-    ``append_batch`` and ``write_layer`` unwrap to the inner class so
-    the pooled quantization path is preserved under paging.
+    ``write_layer`` unwraps to the inner class, so the pooled
+    quantization path is preserved under paging; a write mixing paged
+    and unpaged caches raises ``ValueError`` before any cache changes.
+    ``prefill``, the cache-specific extras (``staging_fill``,
+    ``window``, ...) and everything else unknown here delegate to the
+    inner cache.
     """
 
     def __init__(self, inner: _BufferedKVCache, table: PageTable):
         self.inner = inner
         self.table = table
-
-    def prefill(self, k, v):
-        self.inner.prefill(k, v)
-
-    def prefill_chunk(self, k, v, final=False):
-        self.inner.prefill_chunk(k, v, final=final)
-
-    def append(self, k_t, v_t):
-        self.inner.append(k_t, v_t)
 
     def prefix_state(self, n_tokens):
         return self.inner.prefix_state(n_tokens)
@@ -765,27 +761,35 @@ class PagedKVCache(KVCache):
         return self.table.n_pages
 
     @classmethod
+    def _inners(cls, caches: list) -> list:
+        """The wrapped caches of ``caches``, which must all be paged."""
+        inners = [c.inner for c in caches if type(c) is cls]
+        if len(inners) != len(caches):
+            bad = next(c for c in caches if type(c) is not cls)
+            raise _unpoolable(cls, type(bad))
+        return inners
+
+    # Own attributes, not the inherited one-segment calls, because
+    # perfbench/layertrace.py wraps both by name; each calls the inner
+    # class's own one-segment write.
+    def prefill_chunk(self, k, v, final=False):
+        self.inner.prefill_chunk(k, v, final=final)
+
+    @classmethod
     def append_batch(cls, caches, k_batch, v_batch):
-        if all(type(c) is cls for c in caches):
-            inners = [c.inner for c in caches]
-            type(inners[0]).append_batch(inners, k_batch, v_batch)
-        else:
-            KVCache.append_batch(caches, k_batch, v_batch)
+        inners = cls._inners(caches)
+        type(inners[0]).append_batch(inners, k_batch, v_batch)
 
     @classmethod
     def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
-        if all(type(c) is cls for c in decode_caches) and all(
-            type(c) is cls for c, _, _, _ in chunks
-        ):
-            inners = [c.inner for c in decode_caches]
-            inner_chunks = [(c.inner, k, v, final) for c, k, v, final in chunks]
-            first = inners[0] if inners else inner_chunks[0][0]
-            type(first).write_layer(inners, k_dec, v_dec, inner_chunks)
-        else:
-            KVCache.write_layer(decode_caches, k_dec, v_dec, chunks)
+        inners = cls._inners(decode_caches)
+        chunk_inners = cls._inners([c for c, _, _, _ in chunks])
+        type((inners or chunk_inners)[0]).write_layer(
+            inners, k_dec, v_dec,
+            [(c, k, v, final) for c, (_, k, v, final) in zip(chunk_inners, chunks)],
+        )
 
     def __getattr__(self, name):
-        # Delegate cache-specific extras (staging_fill, window, ...).
         if name in ("inner", "table"):
             raise AttributeError(name)
         return getattr(self.inner, name)

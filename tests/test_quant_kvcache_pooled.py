@@ -1,20 +1,21 @@
 """Tests for the pooled per-layer KV write (``KVCache.write_layer``).
 
 ``forward_mixed`` hands each layer's whole tick of cache writes — decode
-rows and prompt chunks alike — to one ``write_layer`` call, and the MANT
-cache answers it with one K quantize and one V quantize.  The properties
-pinned here:
+rows and prompt chunks alike — to one ``write_layer`` call, and every
+cache class answers it with one K quantize and one V quantize.  The
+properties pinned here:
 
 * pooled writes are byte-equal to per-segment ``append_batch`` /
-  ``prefill_chunk`` writes — cache bytes, streaming state, page ids and
-  logits — including a window closing mid-tick, ragged final chunks and
-  prefix-sealed paged chunks;
-* the fallbacks (bootstrap decode caches, mixed cache classes) match
-  per-cache writes;
+  ``prefill_chunk`` writes for FP16, INT4 and MANT4 — cache bytes,
+  streaming state, page ids and logits — including a window closing
+  mid-tick, ragged final chunks and prefix-sealed paged chunks;
+* a MANT decode cache with no staging scales yet bootstraps them inside
+  the pooled write as a per-cache append does;
 * the quantize and select calls per layer do not grow with the number
   of segments;
-* a segment the caches cannot take is rejected before any cache of the
-  tick is written.
+* a segment the caches cannot take, a write mixing cache classes or
+  configs, and a window whose scale overflows fp16 are all rejected
+  before any cache of the tick is written.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ import pytest
 from repro.core.codec import MantCodec
 from repro.core.selection import VarianceSelector
 from repro.model.transformer import MixedSegment
+from repro.quant import kvcache
 from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
 from repro.serve.paging import BlockPool, PagedKVCache
 
@@ -31,6 +33,13 @@ WINDOW = 32
 
 def mant():
     return MantKVCache(window=WINDOW)
+
+
+FACTORIES = {
+    "fp16": FP16KVCache,
+    "int4": lambda: IntKVCache(bits=4, group_size=WINDOW),
+    "mant4": mant,
+}
 
 
 def cache_state(cache):
@@ -44,34 +53,34 @@ def cache_state(cache):
     return state
 
 
-def build_tick(model):
+def build_tick(model, factory=mant):
     """A pool of paged sequences and the segments of one mixed tick.
 
-    Four decode rows (the 63- and 95-token prompts' rows close their V
-    windows this tick), a full ``CHUNK`` on a fresh sequence, a ragged
-    ``CHUNK_FINAL`` continuing a chunked prefill, and a whole-prompt
-    final chunk over two prefix-sealed pages.  Deterministic, so two
-    builds start from identical state.
+    Four decode rows (for MANT, the 63- and 95-token prompts' rows close
+    their V windows this tick), a full ``CHUNK`` on a fresh sequence, a
+    ragged ``CHUNK_FINAL`` continuing a chunked prefill, and a
+    whole-prompt final chunk over two prefix-sealed pages.
+    Deterministic, so two builds start from identical state.
     """
     rng = np.random.default_rng(7)
     vocab, n_layers = model.config.vocab_size, model.config.n_layers
     pool = BlockPool(n_layers=n_layers, block_tokens=WINDOW, num_blocks=64)
 
     def prefilled(ids):
-        lease = pool.acquire(mant)
+        lease = pool.acquire(factory)
         model.prefill(ids, lease.caches)
         return lease
 
     decoders = [prefilled(rng.integers(0, vocab, size=n)) for n in (63, 40, 95, 10)]
     tokens = rng.integers(0, vocab, size=len(decoders))
-    fresh = pool.acquire(mant)
+    fresh = pool.acquire(factory)
     fresh_ids = rng.integers(0, vocab, size=2 * WINDOW)
-    ragged = pool.acquire(mant)
+    ragged = pool.acquire(factory)
     ragged_ids = rng.integers(0, vocab, size=77)
     model.prefill_chunk(ragged_ids[:WINDOW], ragged.caches, offset=0)
     donor_ids = rng.integers(0, vocab, size=2 * WINDOW)
     prefilled(donor_ids).register_prefix(donor_ids)
-    sealed = pool.acquire(mant)
+    sealed = pool.acquire(factory)
     sealed_ids = np.concatenate([donor_ids, rng.integers(0, vocab, size=6)])
     assert sealed.match_prefix(sealed_ids) == 2 * WINDOW
 
@@ -88,24 +97,29 @@ def build_tick(model):
 
 
 class TestPooledEqualsPerSegment:
-    def test_mixed_tick_byte_equal(self, unit_model, monkeypatch):
+    @pytest.mark.parametrize("name", list(FACTORIES))
+    def test_mixed_tick_byte_equal(self, unit_model, monkeypatch, name):
         model, _ = unit_model
-        pool_a, leases_a, segs_a = build_tick(model)
-        closing = [leases_a[i].caches[0] for i in (0, 2)]
-        assert [c.staging_fill for c in closing] == [WINDOW - 1] * 2
+        pool_a, leases_a, segs_a = build_tick(model, FACTORIES[name])
+        if name == "mant4":
+            closing = [leases_a[i].caches[0] for i in (0, 2)]
+            assert [c.staging_fill for c in closing] == [WINDOW - 1] * 2
         pooled = model.forward_mixed(segs_a)
-        assert [c.staging_fill for c in closing] == [0, 0]   # closed this tick
+        if name == "mant4":
+            assert [c.staging_fill for c in closing] == [0, 0]   # closed this tick
 
-        # Reference: the per-segment writes — one append_batch per
-        # decode row, then one prefill_chunk per chunk, in pack order.
+        # Reference: the per-segment writes — the inner class's
+        # one-segment append_batch per decode row, then one
+        # prefill_chunk per chunk, in pack order.
         def per_segment(cls, decode_caches, k_dec, v_dec, chunks):
             for b, cache in enumerate(decode_caches):
-                cls.append_batch([cache], k_dec[b:b + 1], v_dec[b:b + 1])
+                type(cache.inner).append_batch(
+                    [cache.inner], k_dec[b:b + 1], v_dec[b:b + 1])
             for cache, k, v, final in chunks:
-                cache.prefill_chunk(k, v, final=final)
+                cache.inner.prefill_chunk(k, v, final=final)
 
         monkeypatch.setattr(PagedKVCache, "write_layer", classmethod(per_segment))
-        pool_b, leases_b, segs_b = build_tick(model)
+        pool_b, leases_b, segs_b = build_tick(model, FACTORIES[name])
         per_segment = model.forward_mixed(segs_b)
 
         for x, y in zip(pooled, per_segment):
@@ -135,29 +149,6 @@ class TestPooledEqualsPerSegment:
         for c, k_t, v_t in zip(ref, k, v):
             c.append(k_t, v_t)
         for a, b in zip(pooled, ref):
-            assert cache_state(a) == cache_state(b)
-
-    def test_mixed_cache_classes_match_per_cache_writes(self):
-        rng = np.random.default_rng(2)
-        classes = [mant, lambda: IntKVCache(bits=4, group_size=32), FP16KVCache,
-                   lambda: MantKVCache(window=16)]
-
-        def build():
-            caches = [make() for make in classes]
-            for c in caches:
-                c.prefill(*np.random.default_rng(3).normal(size=(2, 2, 40, 32)))
-            return caches, [mant(), IntKVCache(bits=4, group_size=32)]
-
-        k, v = rng.normal(size=(2, len(classes), 2, 32))
-        ck, cv = rng.normal(size=(2, 2, 70, 32))
-        dec_a, chunk_a = build()
-        MantKVCache.write_layer(dec_a, k, v, [(c, ck, cv, True) for c in chunk_a])
-        dec_b, chunk_b = build()
-        for c, k_t, v_t in zip(dec_b, k, v):
-            c.append(k_t, v_t)
-        for c in chunk_b:
-            c.prefill_chunk(ck, cv, final=True)
-        for a, b in zip(dec_a + chunk_a, dec_b + chunk_b):
             assert cache_state(a) == cache_state(b)
 
 
@@ -195,6 +186,23 @@ def test_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
                      "select_from_variances": 0, "encode": 0, "decode": 0}
 
 
+def test_int_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
+    """4 decode rows + 3 chunks: one K and one V ``_int_qdq_lastaxis``
+    per layer."""
+    model, _ = unit_model
+    _, _, segs = build_tick(model, FACTORIES["int4"])
+    calls = [0]
+    qdq = kvcache._int_qdq_lastaxis
+
+    def counting(*args):
+        calls[0] += 1
+        return qdq(*args)
+
+    monkeypatch.setattr(kvcache, "_int_qdq_lastaxis", counting)
+    model.forward_mixed(segs)
+    assert calls[0] == 2 * model.config.n_layers
+
+
 class TestRejectBeforeAnyWrite:
     def _prefilled(self, model, n_tokens, seed=0):
         caches = [mant() for _ in range(model.config.n_layers)]
@@ -227,3 +235,54 @@ class TestRejectBeforeAnyWrite:
         with pytest.raises(RuntimeError, match="already completed"):
             model.forward_mixed(segs)
         assert [cache_state(c) for c in a + done] == before
+
+    def test_mixed_cache_classes_rejected(self, unit_model):
+        """A tick whose caches differ in class or quantization config, or
+        mix paged and unpaged caches, raises before any cache changes."""
+        model, _ = unit_model
+        n_layers = model.config.n_layers
+        pool = BlockPool(n_layers=n_layers, block_tokens=WINDOW, num_blocks=16)
+        others = {
+            "int4": lambda: [IntKVCache(bits=4, group_size=32) for _ in range(n_layers)],
+            "fp16": lambda: [FP16KVCache() for _ in range(n_layers)],
+            "mant window 16": lambda: [MantKVCache(window=16) for _ in range(n_layers)],
+            "paged mant": lambda: pool.acquire(mant).caches,
+        }
+        for label, make in others.items():
+            a = self._prefilled(model, 40)
+            b = make()
+            model.prefill(np.arange(40) % model.config.vocab_size, b)
+            fresh = [mant() for _ in range(n_layers)]
+            before = [cache_state(c) for c in a + b]
+            for segs in (
+                [MixedSegment([3], a, 40, MixedSegment.DECODE),
+                 MixedSegment([5], b, 40, MixedSegment.DECODE)],
+                [MixedSegment([5], b, 40, MixedSegment.DECODE),
+                 MixedSegment(np.arange(WINDOW), fresh, 0, MixedSegment.CHUNK)],
+            ):
+                with pytest.raises(ValueError, match="one class"):
+                    model.forward_mixed(segs)
+                assert [cache_state(c) for c in a + b] == before, label
+                assert [c.seq_len for c in fresh] == [0] * n_layers, label
+
+    @pytest.mark.parametrize("final, t, at", [
+        (False, 2 * WINDOW, 5),     # a full window's MANT scale overflows
+        (True, 40, 5),              # ... and the staging scales
+        (True, 40, 35),             # the remainder's staging scales only
+    ])
+    def test_fp16_overflow_leaves_decode_caches_untouched(self, final, t, at):
+        """A chunk whose V overflows an fp16 scale raises before the
+        tick's decode rows are written."""
+        rng = np.random.default_rng(4)
+        a = mant()
+        a.prefill(*rng.normal(size=(2, 2, 40, 32)))
+        before = cache_state(a)
+        k_dec, v_dec = rng.normal(size=(2, 1, 2, 32))
+        k, v = rng.normal(size=(2, 2, t, 32))
+        v[1, at, 3] = 1e9
+        b = mant()
+        with pytest.raises(ValueError, match="overflows fp16"):
+            MantKVCache.write_layer([a], k_dec, v_dec, [(b, k, v, final)])
+        assert a.seq_len == 40
+        assert cache_state(a) == before
+        assert b.seq_len == 0

@@ -385,25 +385,23 @@ class TestStreaming:
         assert st.elapsed_s < busy_after_first * 3   # gap not counted
         assert st.tokens_per_s > 1.0
 
-    def test_mixed_cache_types_fall_back_per_cache(self, model):
-        """append_batch dispatch must stay correct when sequences use
-        different cache types (no engine path does this, but the model
-        API allows it)."""
+    def test_mixed_cache_types_rejected(self, model):
+        """A batched decode over sequences with different cache types (no
+        engine path builds one, but the model API allows it) raises
+        before any cache changes."""
         ps = prompts(2, seed=27)
-        factories = [CACHE_FACTORIES["mant4"], CACHE_FACTORIES["fp16"]]
-        single_caches, batch_caches, toks, poss = [], [], [], []
-        for p, fac in zip(ps, factories):
+        caches = []
+        for p, fac in zip(ps, [CACHE_FACTORIES["mant4"], CACHE_FACTORIES["fp16"]]):
             cs = [fac() for _ in range(model.config.n_layers)]
-            cb = [fac() for _ in range(model.config.n_layers)]
-            toks.append(int(np.argmax(model.prefill(p, cs))))
-            model.prefill(p, cb)
-            single_caches.append(cs)
-            batch_caches.append(cb)
-            poss.append(len(p))
-        batched = model.decode_step_batch(toks, batch_caches, poss)
-        for b in range(2):
-            ref = model.decode_step(toks[b], single_caches[b], poss[b])
-            assert np.array_equal(batched[b], ref)
+            model.prefill(p, cs)
+            caches.append(cs)
+        before = [(c.seq_len, np.asarray(c.keys()).tobytes(),
+                   np.asarray(c.values()).tobytes()) for cs in caches for c in cs]
+        with pytest.raises(ValueError, match="one class"):
+            model.decode_step_batch([1, 2], caches, [len(p) for p in ps])
+        assert [(c.seq_len, np.asarray(c.keys()).tobytes(),
+                 np.asarray(c.values()).tobytes())
+                for cs in caches for c in cs] == before
 
     def test_detokenize_streams_incremental_text(self, model):
         """Events carry the new text suffix; concatenation == full detok."""

@@ -189,9 +189,10 @@ def raw_v(model, ids):
     captured = []
 
     class Probe(FP16KVCache):
-        def prefill_chunk(self, k, v, final=False):
-            captured.append(np.array(v))
-            super().prefill_chunk(k, v, final=final)
+        @classmethod
+        def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
+            captured.extend(np.array(v) for _, _, v, _ in chunks)
+            super().write_layer(decode_caches, k_dec, v_dec, chunks)
 
     caches = [Probe()] + [FP16KVCache() for _ in range(model.config.n_layers - 1)]
     for s in range(0, ids.size, BT):

@@ -5,7 +5,7 @@ Loads a trained stand-in model from the zoo (training on first run,
 methods: FP16, INT4, ANT, OliVe, Tender and MANT at several settings —
 including the full MANT configuration with the 4-bit KV cache.
 
-Run:  python examples/llm_quantization.py [model]
+Run:  python examples/llm_quantization.py [model]   (``unit-test`` runs in seconds)
 """
 
 import sys
@@ -39,15 +39,15 @@ configs = [
 ]
 
 fp16 = perplexity_from_rows(model, rows)
-table = [["FP16", fp16, 0.0, 16.0]]
+table = [["FP16", fp16, 0.0, 16]]
 for cfg in configs:
     setup = build_ptq(model, cfg, calibration)
     ppl = setup.ppl(model, rows)
-    table.append([cfg.label, ppl, ppl - fp16, cfg.bits_per_element()])
+    table.append([cfg.label, ppl, ppl - fp16, cfg.w_bits])
 
 print()
 print(render_table(
-    ["configuration", "perplexity", "ppl loss", "weight bits/elem"],
+    ["configuration", "perplexity", "ppl loss", "weight bits"],
     table, title=f"PTQ comparison on {model_name}", ndigits=3,
 ))
 print("\nShape to expect (paper Tbl. II): MANT W4A4 best of the 4-bit rows;")

@@ -5,13 +5,7 @@ from repro.model.corpus import HmmCorpus, InductionCorpus, MixedCorpus
 from repro.model.train import Adam, train_lm, TrainReport
 from repro.model.perplexity import perplexity_from_rows, evaluate_ppl
 from repro.model.outliers import inject_outliers, outlier_channel_stats
-from repro.model.quantized import (
-    PTQConfig,
-    PTQSetup,
-    build_ptq,
-    mant_kv_prefill_qdq,
-    int_kv_prefill_qdq,
-)
+from repro.model.quantized import PTQConfig, PTQSetup, build_ptq
 from repro.model.calibrate import calibrate_model
 from repro.model.tasks import RecallTask, ContinuationTask, token_f1, bleu
 from repro.model.zoo import MODEL_ZOO, ZooEntry, get_model, get_corpus
@@ -34,8 +28,6 @@ __all__ = [
     "PTQConfig",
     "PTQSetup",
     "build_ptq",
-    "mant_kv_prefill_qdq",
-    "int_kv_prefill_qdq",
     "calibrate_model",
     "RecallTask",
     "ContinuationTask",

@@ -16,7 +16,10 @@ This module encodes the paper's evaluation setup (Sec. VII-A):
   configurable granularity (Fig. 1/2, Tbl. V).
 
 None of the baselines quantize the attention layer (the paper keeps
-them FP16 there); only MANT configs carry a KV spec.
+them FP16 there); only MANT configs carry a KV spec.  A KV spec's
+``kv_quant`` hook quantizes K/V by writing them through the KV caches
+of :mod:`repro.quant.kvcache` — one implementation per KV format, read
+by perplexity, generation and serving alike.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.groups import to_groups, from_groups
 from repro.core.selection import VarianceSelector
 from repro.datatypes.int_type import IntType
 from repro.datatypes.mxfp import mxfp4_qdq
@@ -33,13 +35,14 @@ from repro.model.transformer import TransformerLM
 from repro.quant.ant import AntQuantizer
 from repro.quant.clustering import PerGroupClusterQuantizer
 from repro.quant.config import Granularity
+from repro.quant.kvcache import IntKVCache, MantKVCache
 from repro.quant.mant_framework import MantModelQuantizer
 from repro.quant.olive import OliveQuantizer
 from repro.quant.quantizer import GroupQuantizer
 from repro.quant.tender import TenderQuantizer
 from repro.quant.calibration import CalibrationResult
 
-__all__ = ["PTQConfig", "PTQSetup", "build_ptq", "mant_kv_prefill_qdq", "int_kv_prefill_qdq"]
+__all__ = ["PTQConfig", "PTQSetup", "build_ptq"]
 
 
 @dataclass(frozen=True)
@@ -211,97 +214,37 @@ def _make_act_quant(cfg: PTQConfig):
 
 
 # ----------------------------------------------------------------------
-# Prefill-style KV quantization (Tbl. II attention rows)
+# Teacher-forced KV quantization (Tbl. II attention rows)
 # ----------------------------------------------------------------------
-def mant_kv_prefill_qdq(
-    k: np.ndarray,
-    v: np.ndarray,
-    selector: VarianceSelector,
-    bits: int = 4,
-    group_size: int = 64,
-    window: int | None = None,
-):
-    """Vectorised prefill-stage MANT KV quantization.
-
-    K groups run along ``d_head`` (spatial); V groups along the
-    sequence in ``window``-sized chunks, with the tail kept at INT8
-    using channel scales — matching :class:`MantKVCache` semantics on
-    ``(B, H, T, d_head)`` tensors.
-    """
-    from repro.core.codec import MantCodec
-
-    window = window or group_size
-    b, h, t, dh = k.shape
-
-    gk = min(group_size, dh)
-    codec_k = MantCodec(bits, gk)
-    flat_k = k.reshape(-1, dh)
-    a_k = selector.select_batch(to_groups(flat_k, gk, axis=-1).groups)
-    k_q = codec_k.qdq(flat_k, a_k).reshape(k.shape)
-
-    full = (t // window) * window
-    v_q = np.empty_like(v)
-    if full:
-        body = v[:, :, :full, :].reshape(b, h, full // window, window, dh)
-        per_channel = np.moveaxis(body, 3, -1)          # (b,h,W,dh,window)
-        flat_v = per_channel.reshape(-1, window)
-        codec_v = MantCodec(bits, window)
-        a_v = selector.select_batch(flat_v)
-        out = codec_v.qdq(flat_v, a_v[:, None])
-        v_q[:, :, :full, :] = np.moveaxis(
-            out.reshape(b, h, full // window, dh, window), -1, 3
-        ).reshape(b, h, full, dh)
-    if full < t:
-        tail = v[:, :, full:, :]
-        itype = IntType(8)
-        ch_max = np.max(np.abs(v), axis=2, keepdims=True)   # prefill channel scales
-        ch_max = np.where(ch_max <= 0, 1.0, ch_max)
-        scale = ch_max / itype.qmax
-        v_q[:, :, full:, :] = itype.round_clip(tail / scale) * scale
-    return k_q, v_q
-
-
-def int_kv_prefill_qdq(k: np.ndarray, v: np.ndarray, bits: int = 4, group_size: int = 64):
-    """Baseline INT KV: per-token groups along ``d_head`` for both."""
-    def q(x):
-        g = min(group_size, x.shape[-1])
-        itype = IntType(bits)
-        view = to_groups(x, g, axis=-1)
-        amax = np.max(np.abs(view.groups), axis=-1, keepdims=True)
-        amax = np.where(amax <= 0, itype.qmax, amax)
-        scale = amax / itype.qmax
-        return from_groups(view, itype.round_clip(view.groups / scale) * scale)
-
-    return q(k), q(v)
-
-
 def _make_kv_quant(cfg: PTQConfig, selector: VarianceSelector | None):
+    """The ``kv_quant`` hook: each batch row's K/V written as one final
+    prefill chunk into a fresh KV cache, every row of a layer in one
+    pooled :meth:`~repro.quant.kvcache.KVCache.write_layer` — the
+    writer generation and serving use, so perplexity reads exactly the
+    cache contents they attend over."""
     if cfg.kv_method == "fp16":
         return None
+    if cfg.kv_method == "mant":
+        sel = selector or VarianceSelector(bits=cfg.kv_bits, group_size=cfg.group_size)
+        make_cache = lambda: MantKVCache(sel, cfg.kv_bits, cfg.group_size)
+    elif cfg.kv_method == "int":
+        make_cache = lambda: IntKVCache(cfg.kv_bits, cfg.group_size)
+    else:
+        raise ValueError(f"unknown KV method {cfg.kv_method!r}")
     q_quant = None
     if cfg.attn_act_bits < 16:
         gq = GroupQuantizer(IntType(cfg.attn_act_bits), Granularity.GROUP, cfg.group_size)
         q_quant = lambda x: gq.qdq(x, axis=-1)
 
-    if cfg.kv_method == "mant":
-        sel = selector or VarianceSelector(bits=cfg.kv_bits, group_size=cfg.group_size)
+    def hook(layer, qh, kh, vh):
+        caches = [make_cache() for _ in range(len(kh))]
+        type(caches[0]).write_layer(
+            [], None, None, [(c, k, v, True) for c, k, v in zip(caches, kh, vh)])
+        k_q = np.stack([c.keys() for c in caches])
+        v_q = np.stack([c.values() for c in caches])
+        return (q_quant(qh) if q_quant else qh), k_q, v_q
 
-        def hook(layer, qh, kh, vh):
-            k_q, v_q = mant_kv_prefill_qdq(
-                kh, vh, sel, bits=cfg.kv_bits, group_size=cfg.group_size
-            )
-            return (q_quant(qh) if q_quant else qh), k_q, v_q
-
-        return hook
-    if cfg.kv_method == "int":
-
-        def hook(layer, qh, kh, vh):
-            k_q, v_q = int_kv_prefill_qdq(kh, vh, bits=cfg.kv_bits,
-                                          group_size=cfg.group_size)
-            return (q_quant(qh) if q_quant else qh), k_q, v_q
-
-        return hook
-    raise ValueError(f"unknown KV method {cfg.kv_method!r}")
+    return hook
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ pass.  The inference forwards share one layer body
 (:meth:`TransformerLM._block`) and differ only in how they split
 heads, rotate, write caches and attend:
 
-* :func:`forward_logits` — teacher-forced ``(B, T, d)``, no caches;
+* :func:`forward_logits` — teacher-forced ``(B, T, d)``, holding no
+  caches (its ``kv_quant`` hook may write K/V through fresh ones);
 * :func:`forward_mixed` — the one cached forward: any mix of decode
   rows and prompt chunks packed as ``(1, T, d)``.  :func:`prefill`,
   :func:`decode_step` and :func:`prefill_chunk` are its one-segment
@@ -36,7 +37,10 @@ plug in:
     any other hook is called once per sequence.
 ``kv_cache_factory()``
     Builds one :class:`repro.quant.kvcache.KVCache` per layer for
-    generation; prefill-style evaluation uses ``kv_quant`` instead.
+    generation.  Teacher-forced evaluation takes ``kv_quant`` instead;
+    the PTQ harness's hook (:mod:`repro.model.quantized`) writes each
+    row's K/V through fresh caches' one ``write_layer``, so both paths
+    quantize KV with the same code.
 
 Caches may store tokens contiguously or in non-contiguous pages
 (:mod:`repro.serve.paging`): ``keys()``/``values()`` results flow
@@ -311,9 +315,13 @@ class TransformerLM:
         """Teacher-forced full-sequence logits ``(B, T, V)``.
 
         ``kv_quant(layer_idx, q, k, v) -> (q, k, v)`` intercepts the
-        per-layer attention operands ``(B, H, T, d_head)`` —
-        prefill-style KV cache quantization plus the 8-bit attention
-        activation path (what the Wikitext rows of Tbl. II measure).
+        per-layer attention operands ``(B, H, T, d_head)`` — KV cache
+        quantization plus the 8-bit attention activation path (what the
+        Wikitext rows of Tbl. II measure).  The hook
+        :func:`repro.model.quantized.build_ptq` makes writes each batch
+        row as one final prefill chunk into a fresh KV cache, all rows
+        in one pooled :meth:`~repro.quant.kvcache.KVCache.write_layer`,
+        and attention reads the caches' ``keys()``/``values()``.
         """
         cfg = self.config
         p = self.params if weights is None else weights

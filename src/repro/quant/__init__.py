@@ -1,6 +1,6 @@
 """Group-wise quantization framework: MANT plus every baseline method."""
 
-from repro.quant.config import QuantConfig, KVCacheConfig, Granularity, WEIGHT_ONLY_FP16_ACT
+from repro.quant.config import QuantConfig, Granularity, WEIGHT_ONLY_FP16_ACT
 from repro.quant.quantizer import GroupQuantizer, quantize_dequantize, qdq_with_config
 from repro.quant.mant_framework import MantQuantizer, MantModelQuantizer, QuantizedWeight
 from repro.quant.ant import AntQuantizer, select_ant_type, ANT_TYPE_SET
@@ -12,13 +12,11 @@ from repro.quant.kvcache import (
     FP16KVCache,
     IntKVCache,
     MantKVCache,
-    make_kv_cache,
 )
 from repro.quant.calibration import RunningActStats, KVGroupSampler, CalibrationResult
 
 __all__ = [
     "QuantConfig",
-    "KVCacheConfig",
     "Granularity",
     "WEIGHT_ONLY_FP16_ACT",
     "GroupQuantizer",
@@ -38,7 +36,6 @@ __all__ = [
     "FP16KVCache",
     "IntKVCache",
     "MantKVCache",
-    "make_kv_cache",
     "RunningActStats",
     "KVGroupSampler",
     "CalibrationResult",

@@ -77,13 +77,6 @@ class KVGroupSampler:
             return np.empty((0, self.group_size))
         return np.stack(self._samples)
 
-    def fit_selector(self, bits: int = 4) -> VarianceSelector:
-        g = self.groups()
-        selector = VarianceSelector(bits=bits, group_size=g.shape[1] if g.size else self.group_size)
-        if g.shape[0] >= 16:
-            selector.fit(g)
-        return selector
-
 
 @dataclass
 class CalibrationResult:

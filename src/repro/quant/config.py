@@ -10,11 +10,11 @@ and performance experiments cannot drift apart.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.metadata import StorageFormat, A_BITS, SCALE_BITS
 
-__all__ = ["Granularity", "QuantConfig", "KVCacheConfig", "WEIGHT_ONLY_FP16_ACT"]
+__all__ = ["Granularity", "QuantConfig", "WEIGHT_ONLY_FP16_ACT"]
 
 
 class Granularity(enum.Enum):
@@ -72,23 +72,6 @@ class QuantConfig:
 
     def bits_per_element(self) -> float:
         return self.storage_format().bits_per_element()
-
-
-@dataclass(frozen=True)
-class KVCacheConfig:
-    """KV-cache quantization: method + the real-time machinery knobs.
-
-    ``window`` is the V-cache process window (Sec. V-C two-phase
-    scheme); the paper sets it equal to the group size.
-    """
-
-    key: QuantConfig = field(default_factory=lambda: QuantConfig(bits=4, method="mant"))
-    value: QuantConfig = field(default_factory=lambda: QuantConfig(bits=4, method="mant"))
-    window: int = 64
-
-    @property
-    def is_fp16(self) -> bool:
-        return self.key.is_fp16 and self.value.is_fp16
 
 
 WEIGHT_ONLY_FP16_ACT = QuantConfig(bits=16, method="fp16")

@@ -16,7 +16,11 @@ dimensions so scaling factors can be pulled out of the accumulation:
 All caches here are *fake-quantized*: they store dequantized float
 values of exactly the precision the hardware would see, which is what
 accuracy experiments need.  The cycle-level behaviour of the same scheme
-is modelled in :mod:`repro.hardware.rqu`.
+is modelled in :mod:`repro.hardware.rqu`.  These classes are the one
+implementation of each KV format: generation, the serving engine and
+the teacher-forced perplexity hook of
+:func:`repro.model.quantized.build_ptq` (each batch row one final
+prefill chunk) all write through :meth:`KVCache.write_layer`.
 
 Writes are pooled per layer: the model hands each layer's whole tick —
 one token for every decoding sequence plus every prompt chunk — to one
@@ -67,10 +71,10 @@ import numpy as np
 from repro.core.codec import (
     _FP16_OVERFLOW, INT_A, MantCodec, _group_absmax, _scale_base,
 )
-from repro.core.groups import to_groups, from_groups
 from repro.core.selection import VarianceSelector
 from repro.datatypes.int_type import IntType
-from repro.quant.config import KVCacheConfig, QuantConfig
+from repro.quant.config import Granularity
+from repro.quant.quantizer import GroupQuantizer
 
 __all__ = [
     "KVCache",
@@ -78,7 +82,6 @@ __all__ = [
     "FP16KVCache",
     "IntKVCache",
     "MantKVCache",
-    "make_kv_cache",
 ]
 
 _EMPTY = np.empty((0, 0, 0))
@@ -425,23 +428,15 @@ def _fp16_nonzero(scale: np.ndarray) -> np.ndarray:
     instead of dividing 0 by 0.  A scale that would overflow fp16 (an
     absmax above about 65504·qmax) raises ``ValueError``, as NaN/inf
     input does, instead of dequantizing its group to NaN; the check
-    reads the per-group scales, not the tensor.
+    reads the per-group scales, not the tensor, and is written so that
+    a NaN scale fails it too.
     """
-    if scale.max(initial=0.0) >= _FP16_OVERFLOW:
+    if not scale.max(initial=0.0) < _FP16_OVERFLOW:
         raise ValueError(
-            "cannot quantize: a scale overflows fp16 (absmax above "
-            "65504 x qmax, or infinite input) and would dequantize to NaN")
+            "cannot quantize: a scale overflows fp16 or is NaN (absmax "
+            "above 65504 x qmax, or NaN or infinite input)")
     scale = scale.astype(np.float16).astype(np.float64)
     return np.where(scale == 0, 1.0, scale)
-
-
-def _int_qdq_lastaxis(x: np.ndarray, bits: int, group_size: int) -> np.ndarray:
-    """Group-wise symmetric INT fake-quant along the last axis."""
-    itype = IntType(bits)
-    view = to_groups(x, group_size, axis=-1)
-    scale = _fp16_nonzero(np.abs(view.groups).max(axis=-1, keepdims=True) / itype.qmax)
-    q = itype.round_clip(view.groups / scale)
-    return from_groups(view, q * scale)
 
 
 class IntKVCache(_BufferedKVCache):
@@ -459,7 +454,7 @@ class IntKVCache(_BufferedKVCache):
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         g = min(self.group_size, x.shape[-1])
-        return _int_qdq_lastaxis(x, self.bits, g)
+        return GroupQuantizer(IntType(self.bits), Granularity.GROUP, g).qdq(x)
 
     def _pools_with(self, other) -> bool:
         return (type(other) is type(self) and other.bits == self.bits
@@ -608,7 +603,10 @@ class MantKVCache(_BufferedKVCache):
           K row written (the decode rows and every chunk's tokens —
           spatial groups along ``d_head``);
         * one INT8 staging round for the decode V rows (phase 1 of
-          Fig. 8, against each cache's fixed channel scales);
+          Fig. 8, against each cache's fixed channel scales) and one for
+          each final chunk's sub-window remainder, both
+          :meth:`~repro.datatypes.int_type.IntType.qdq` (which rejects
+          NaN);
         * one :meth:`~repro.core.codec.MantCodec.qdq_ids` over every V
           window completing (phase 2), its range ids concatenated from
           the windows this tick's decode rows close (their streaming
@@ -661,7 +659,7 @@ class MantKVCache(_BufferedKVCache):
                 if b else c._stage_scale
                 for c, v_t, b in zip(decode_caches, v_dec, boot)
             ])
-            vq = first._int8.round_clip(v_dec / scales) * scales
+            vq = first._int8.qdq(v_dec, scales)
             # One token's window stats (Σv, Σv², max|v|) for every row.
             v_sq, v_abs = v_dec * v_dec, np.abs(v_dec)
             closes = [(0 if fresh else len(c._v) - c._v_final) == window - 1
@@ -694,10 +692,12 @@ class MantKVCache(_BufferedKVCache):
                 rows.append(np.moveaxis(w, 2, -1).reshape(-1, window))
             if full < t:
                 ch_max = np.maximum(ch_max, v_abs_c[:, full:].max(axis=1))
-            scale = None
+            scale = staged = None
             if final:
                 scale = _fp16_scale(np.where(ch_max <= 0, 1.0, ch_max), c._int8)
-            plans.append((w_max, ch_max, scale))
+                if full < t:
+                    staged = c._int8.qdq(v[:, full:], scale[:, None, :])
+            plans.append((w_max, ch_max, scale, staged))
         if rows:
             # (n_windows·channels, 1, window): one group per row.
             groups = np.concatenate(rows)[:, None, :]
@@ -752,7 +752,7 @@ class MantKVCache(_BufferedKVCache):
 
         # -- chunks: K rows, full V windows, staged remainder --------
         k_off = n_dec * heads
-        for (c, k, v, final), (w_max, ch_max, scale) in zip(chunks, plans):
+        for (c, k, v, final), (w_max, ch_max, scale, staged) in zip(chunks, plans):
             heads_c, t, _ = v.shape
             if c._k is None:
                 c._reset_buffers(heads_c, d_head, t)
@@ -777,8 +777,7 @@ class MantKVCache(_BufferedKVCache):
                     # The sub-window remainder enters INT8 staging and
                     # opens the first window's streaming stats.
                     rest = v[:, full:, :]
-                    s = scale[:, None, :]
-                    c._v.append(c._int8.round_clip(rest / s) * s)
+                    c._v.append(staged)
                     c._acc_sum += rest.sum(axis=1)
                     c._acc_sqsum += (rest * rest).sum(axis=1)
                     c._acc_max = np.maximum(c._acc_max, np.max(np.abs(rest), axis=1))
@@ -789,18 +788,3 @@ class MantKVCache(_BufferedKVCache):
         """Tokens currently held at INT8 (for tests/analysis)."""
         return len(self._v) - self._v_final if self._v is not None else 0
 
-
-def make_kv_cache(config: KVCacheConfig, selector: VarianceSelector | None = None) -> KVCache:
-    """Instantiate the cache implementation a config describes."""
-    if config.is_fp16:
-        return FP16KVCache()
-    if config.key.method == "mant":
-        return MantKVCache(
-            selector=selector,
-            bits=config.key.bits,
-            group_size=config.key.group_size,
-            window=config.window,
-        )
-    if config.key.method == "int":
-        return IntKVCache(bits=config.key.bits, group_size=config.key.group_size)
-    raise ValueError(f"no KV cache implementation for method {config.key.method!r}")

@@ -1,8 +1,9 @@
 """Smoke tests: the fast examples must run end to end.
 
-The model-loading examples (``llm_quantization``, ``generation_with_
-quantized_kv``) are exercised by the benches that share their code
-paths; here we run the examples that complete in seconds.
+``generation_with_quantized_kv`` loads a model trained on first run and
+is exercised by the benches that share its code paths; here we run the
+examples that complete in seconds (``llm_quantization`` on the
+committed ``unit-test`` model).
 """
 
 import os
@@ -15,9 +16,9 @@ EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
                         "examples")
 
 
-def run_example(name: str, timeout: int = 240) -> str:
+def run_example(name: str, *args: str, timeout: int = 240) -> str:
     proc = subprocess.run(
-        [sys.executable, os.path.join(EXAMPLES, name)],
+        [sys.executable, os.path.join(EXAMPLES, name), *args],
         capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -46,3 +47,10 @@ def test_accelerator_comparison():
     out = run_example("accelerator_comparison.py")
     assert "geomeans" in out
     assert "BitFusion" in out
+
+
+def test_llm_quantization_unit_test():
+    # The KV row runs the teacher-forced perplexity through the KV caches.
+    out = run_example("llm_quantization.py", "unit-test")
+    assert "PTQ comparison on unit-test" in out
+    assert "MANT W4A8 + KV 8/4" in out

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.selection import VarianceSelector
-from repro.model.quantized import (
-    PTQConfig,
-    build_ptq,
-    int_kv_prefill_qdq,
-    mant_kv_prefill_qdq,
-)
+from repro.model.quantized import PTQConfig, build_ptq
 from repro.model.transformer import ModelConfig, TransformerLM
+from repro.quant.calibration import CalibrationResult
+from repro.quant.kvcache import IntKVCache, MantKVCache
 
 
 def tiny_model(arch="llama"):
@@ -32,43 +29,76 @@ class TestPTQConfigNames:
 
 
 class TestKVPrefillQdq:
+    """``build_ptq(...).kv_quant``, the prefill-style KV quantize of the
+    teacher-forced forward: every batch row is written as one final
+    prefill chunk into a fresh KV cache, all rows of a layer in one
+    pooled ``write_layer`` call."""
+
+    GROUP = 32
+
+    def setup_hook(self, kv_method, rng):
+        sel = VarianceSelector(group_size=self.GROUP).fit(
+            rng.normal(size=(256, self.GROUP)) * rng.gamma(2.0, size=(256, 1)))
+        cfg = PTQConfig(method="mant", w_bits=4, a_bits=8, group_size=self.GROUP,
+                        kv_method=kv_method, kv_bits=4)
+        setup = build_ptq(tiny_model(), cfg, CalibrationResult(kv_selector=sel))
+        return setup.kv_quant, sel
+
+    def assert_matches_per_row_prefill(self, kv_method, rng):
+        hook, sel = self.setup_hook(kv_method, rng)
+        for t in (32, 70):
+            q, k, v = rng.normal(size=(3, 3, 2, t, 16))
+            q_out, kq, vq = hook(0, q, k, v)
+            assert q_out is q     # attention activations stay 16-bit by default
+            for b in range(3):
+                cache = (MantKVCache(sel, 4, self.GROUP) if kv_method == "mant"
+                         else IntKVCache(4, self.GROUP))
+                cache.prefill(k[b], v[b])
+                assert kq[b].tobytes() == np.asarray(cache.keys()).tobytes()
+                assert vq[b].tobytes() == np.asarray(cache.values()).tobytes()
+
     def test_mant_shapes(self, rng):
-        k = rng.normal(size=(2, 2, 70, 16))
-        v = rng.normal(size=(2, 2, 70, 16))
-        sel = VarianceSelector(group_size=32)
-        kq, vq = mant_kv_prefill_qdq(k, v, sel, bits=4, group_size=32)
+        hook, _ = self.setup_hook("mant", rng)
+        q, k, v = rng.normal(size=(3, 2, 2, 70, 16))
+        _, kq, vq = hook(0, q, k, v)
         assert kq.shape == k.shape and vq.shape == v.shape
 
     def test_mant_tail_is_int8_staged(self, rng):
-        # 70 tokens with window 32: 64 finalized, 6 staged at INT8.
-        k = rng.normal(size=(1, 1, 70, 16))
-        v = rng.normal(size=(1, 1, 70, 16))
-        sel = VarianceSelector(group_size=32)
-        _, vq = mant_kv_prefill_qdq(k, v, sel, bits=4, group_size=32, window=32)
+        # 70 tokens with window 32: 64 finalized at MANT4, 6 staged at INT8.
+        hook, _ = self.setup_hook("mant", rng)
+        q, k, v = rng.normal(size=(3, 1, 1, 70, 16))
+        _, _, vq = hook(0, q, k, v)
         tail_err = np.abs(vq[..., 64:, :] - v[..., 64:, :])
         body_err = np.abs(vq[..., :64, :] - v[..., :64, :])
         assert tail_err.mean() < body_err.mean()  # INT8 tail beats MANT4 body
 
     def test_int_kv_shapes(self, rng):
-        k = rng.normal(size=(2, 2, 20, 16))
-        v = rng.normal(size=(2, 2, 20, 16))
-        kq, vq = int_kv_prefill_qdq(k, v, bits=4, group_size=64)
+        hook, _ = self.setup_hook("int", rng)
+        q, k, v = rng.normal(size=(3, 2, 2, 20, 16))
+        _, kq, vq = hook(0, q, k, v)
         assert kq.shape == k.shape
         assert np.all(np.isfinite(vq))
 
     def test_mant_matches_cache_semantics(self, rng):
-        # The vectorised prefill hook and the streaming MantKVCache
-        # agree on finalized windows (same selector, same grouping).
-        from repro.quant.kvcache import MantKVCache
+        self.assert_matches_per_row_prefill("mant", rng)
 
-        sel = VarianceSelector(group_size=32).fit(rng.normal(size=(256, 32)))
-        k = rng.normal(size=(1, 2, 64, 16))
-        v = rng.normal(size=(1, 2, 64, 16))
-        kq, vq = mant_kv_prefill_qdq(k, v, sel, bits=4, group_size=32, window=32)
-        cache = MantKVCache(selector=sel, bits=4, group_size=32, window=32)
-        cache.prefill(k[0], v[0])
-        assert np.allclose(cache.values(), vq[0], atol=1e-9)
-        assert np.allclose(cache.keys(), kq[0], atol=1e-9)
+    def test_int_matches_cache_semantics(self, rng):
+        self.assert_matches_per_row_prefill("int", rng)
+
+    @pytest.mark.parametrize("kv_method, cls", [("mant", MantKVCache),
+                                                ("int", IntKVCache)])
+    def test_one_write_layer_per_call(self, kv_method, cls, rng, monkeypatch):
+        hook, _ = self.setup_hook(kv_method, rng)
+        calls = []
+        write = cls.write_layer
+
+        def counting(decode_caches, k_dec, v_dec, chunks):
+            calls.append(len(chunks))
+            return write(decode_caches, k_dec, v_dec, chunks)
+
+        monkeypatch.setattr(cls, "write_layer", counting)
+        hook(0, *rng.normal(size=(3, 3, 2, 40, 16)))
+        assert calls == [3]
 
 
 class TestBuildPtqPerArch:

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.quant.config import KVCacheConfig, QuantConfig
-from repro.quant.kvcache import (
-    FP16KVCache,
-    IntKVCache,
-    MantKVCache,
-    make_kv_cache,
-)
+from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
 
 
 def fill(cache, heads=2, seq=70, dh=64, extra=70, seed=0):
@@ -270,29 +264,3 @@ class TestAppendValidation:
         cache.prefill(rng.normal(size=(2, 16, 16)), rng.normal(size=(2, 16, 16)))
         cache.append(rng.normal(size=(2, 16)), rng.normal(size=(2, 16)))
         assert cache.seq_len == 17
-
-
-class TestFactory:
-    def test_fp16(self):
-        assert isinstance(make_kv_cache(KVCacheConfig(
-            key=QuantConfig(bits=16, method="fp16"),
-            value=QuantConfig(bits=16, method="fp16"))), FP16KVCache)
-
-    def test_mant(self):
-        cfg = KVCacheConfig()
-        assert isinstance(make_kv_cache(cfg), MantKVCache)
-
-    def test_int(self):
-        cfg = KVCacheConfig(
-            key=QuantConfig(bits=4, method="int"),
-            value=QuantConfig(bits=4, method="int"),
-        )
-        assert isinstance(make_kv_cache(cfg), IntKVCache)
-
-    def test_unknown_rejected(self):
-        cfg = KVCacheConfig(
-            key=QuantConfig(bits=4, method="nf"),
-            value=QuantConfig(bits=4, method="nf"),
-        )
-        with pytest.raises(ValueError):
-            make_kv_cache(cfg)

@@ -14,8 +14,8 @@ properties pinned here:
 * the quantize and select calls per layer do not grow with the number
   of segments;
 * a segment the caches cannot take, a write mixing cache classes or
-  configs, and a window whose scale overflows fp16 are all rejected
-  before any cache of the tick is written.
+  configs, a window whose scale overflows fp16 and a NaN K or V are all
+  rejected before any cache of the tick is written.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ import pytest
 from repro.core.codec import MantCodec
 from repro.core.selection import VarianceSelector
 from repro.model.transformer import MixedSegment
-from repro.quant import kvcache
 from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
 from repro.serve.paging import BlockPool, PagedKVCache
 
@@ -187,18 +186,18 @@ def test_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
 
 
 def test_int_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
-    """4 decode rows + 3 chunks: one K and one V ``_int_qdq_lastaxis``
-    per layer."""
+    """4 decode rows + 3 chunks: one K and one V ``IntKVCache._q`` per
+    layer."""
     model, _ = unit_model
     _, _, segs = build_tick(model, FACTORIES["int4"])
     calls = [0]
-    qdq = kvcache._int_qdq_lastaxis
+    qdq = IntKVCache._q
 
-    def counting(*args):
+    def counting(self, x):
         calls[0] += 1
-        return qdq(*args)
+        return qdq(self, x)
 
-    monkeypatch.setattr(kvcache, "_int_qdq_lastaxis", counting)
+    monkeypatch.setattr(IntKVCache, "_q", counting)
     model.forward_mixed(segs)
     assert calls[0] == 2 * model.config.n_layers
 
@@ -284,5 +283,55 @@ class TestRejectBeforeAnyWrite:
         with pytest.raises(ValueError, match="overflows fp16"):
             MantKVCache.write_layer([a], k_dec, v_dec, [(b, k, v, final)])
         assert a.seq_len == 40
+        assert cache_state(a) == before
+        assert b.seq_len == 0
+
+    @pytest.mark.parametrize("role", ["k", "v"])
+    def test_int_nan_chunk_rejected(self, role):
+        """A NaN in an INT cache's prompt raises instead of storing a
+        NaN group, before the tick's decode rows are written."""
+        rng = np.random.default_rng(5)
+        a = FACTORIES["int4"]()
+        a.prefill(*rng.normal(size=(2, 2, 40, 32)))
+        before = cache_state(a)
+        k_dec, v_dec = rng.normal(size=(2, 1, 2, 32))
+        kv = dict(zip("kv", rng.normal(size=(2, 2, 20, 32))))
+        kv[role][0, 7, 3] = np.nan
+        b = FACTORIES["int4"]()
+        with pytest.raises(ValueError, match="NaN"):
+            IntKVCache.write_layer([a], k_dec, v_dec, [(b, kv["k"], kv["v"], True)])
+        assert cache_state(a) == before
+        assert b.seq_len == 0
+
+    @pytest.mark.parametrize("prefilled", [True, False])
+    def test_mant_nan_decode_row_rejected(self, prefilled):
+        """A NaN decode V row raises instead of entering INT8 staging,
+        whether the cache's staging scales are fixed or bootstrap from
+        that row; the other decode cache of the write is untouched."""
+        rng = np.random.default_rng(6)
+        a, b = mant(), mant()
+        a.prefill(*rng.normal(size=(2, 2, 40, 32)))
+        if prefilled:
+            b.prefill(*rng.normal(size=(2, 2, 40, 32)))
+        before = [cache_state(a), cache_state(b)]
+        k_dec, v_dec = rng.normal(size=(2, 2, 2, 32))
+        v_dec[1, 0, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            MantKVCache.write_layer([a, b], k_dec, v_dec, [])
+        assert [cache_state(a), cache_state(b)] == before
+
+    def test_mant_nan_in_staged_remainder_rejected(self):
+        """One NaN in a final chunk's sub-window remainder raises instead
+        of giving its channel a NaN staging scale."""
+        rng = np.random.default_rng(4)
+        a = mant()
+        a.prefill(*rng.normal(size=(2, 2, 40, 32)))
+        before = cache_state(a)
+        k_dec, v_dec = rng.normal(size=(2, 1, 2, 32))
+        k, v = rng.normal(size=(2, 2, 40, 32))
+        v[1, 35, 3] = np.nan
+        b = mant()
+        with pytest.raises(ValueError, match="NaN"):
+            MantKVCache.write_layer([a], k_dec, v_dec, [(b, k, v, True)])
         assert cache_state(a) == before
         assert b.seq_len == 0

@@ -36,6 +36,7 @@ from repro.core.codec import MantCodec
 from repro.core.fused import fused_group_gemm, quantize_activations_int8
 from repro.core.groups import to_groups
 from repro.core.selection import MseSearchSelector, VarianceSelector
+from repro.model.layers import cached_attention_fwd
 from repro.model.zoo import get_model
 from repro.quant.kvcache import FP16KVCache, MantKVCache
 
@@ -61,7 +62,12 @@ from bench_policy_scheduling import (
 )
 from bench_paged_kv import compute_reuse_configs, prefix_compute_reuse, prefix_reuse
 from bench_serve_throughput import CACHE_FACTORIES, make_requests, run_workload
-from legacy_impl import LegacyListKVCache, LegacyMantCodec, LegacyMseSearchSelector
+from legacy_impl import (
+    LegacyListKVCache,
+    LegacyMantCodec,
+    LegacyMseSearchSelector,
+    legacy_cached_attention_fwd,
+)
 
 BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "artifacts", "perf_baseline.json"
@@ -80,6 +86,13 @@ MIN_ENCODE_SPEEDUP = 3.0
 # resolution: measured 1.37-1.47x pinned (the pre-change composition,
 # on the slower tail it had then, took 2.3x as long).
 MIN_SELECT_QDQ_SPEEDUP = 1.25
+
+# Mask-free decode attention: cached_attention_fwd for one decode row
+# (t=1, every key visible) over an 80-token, 2-head, d_head-32 context
+# vs the always-masked version it replaced, which built the causal
+# mask and softmaxed a masked copy of the scores.  Measured 1.94x
+# pinned to one CPU.
+MIN_DECODE_ATTN_SPEEDUP = 1.5
 
 # Serving: aggregate decode throughput at batch 8 vs 1-by-1 serving of
 # the same workload (the continuous-batching payoff).
@@ -284,6 +297,20 @@ def check_speedups() -> list[str]:
     if s_sq < MIN_SELECT_QDQ_SPEEDUP:
         failures.append(
             f"select_qdq speedup {s_sq:.2f}x < {MIN_SELECT_QDQ_SPEEDUP}x"
+        )
+
+    q_row = rng.standard_normal((2, 1, 32))
+    ctx_k, ctx_v = rng.standard_normal((2, 2, 80, 32))
+    t_old, t_new = _interleaved_min(
+        lambda: legacy_cached_attention_fwd(q_row, ctx_k, ctx_v, offset=79),
+        lambda: cached_attention_fwd(q_row, ctx_k, ctx_v, offset=79),
+    )
+    s_att = t_old / t_new
+    print(f"  decode-row attention vs always-masked:    {s_att:5.2f}x "
+          f"(floor {MIN_DECODE_ATTN_SPEEDUP}x)")
+    if s_att < MIN_DECODE_ATTN_SPEEDUP:
+        failures.append(
+            f"decode-row attention speedup {s_att:.2f}x < {MIN_DECODE_ATTN_SPEEDUP}x"
         )
 
     # O(T) decode: buffered cache flat, legacy list cache growing.

@@ -1,10 +1,10 @@
 """Seed (pre-fast-path) implementations of the MANT hot loops.
 
 These are verbatim-behaviour copies of the library's original
-per-candidate-loop selection, per-unique-``a`` mask-loop encode and
-list+concatenate KV cache.  They exist only so the benchmark harness
-(``bench_micro_codec.py``, ``bench_decode_scaling.py``,
-``check_perf.py``) can measure the fast paths against a fixed baseline
+per-candidate-loop selection, per-unique-``a`` mask-loop encode,
+list+concatenate KV cache and always-masked cached attention.  They
+exist only so the benchmark harness (``bench_micro_codec.py``,
+``bench_decode_scaling.py``, ``check_perf.py``) can measure the fast paths against a fixed baseline
 inside one process — they are not part of the library API.
 """
 
@@ -163,3 +163,25 @@ class LegacyListKVCache:
         if self._v_staging:
             parts.append(np.stack(self._v_staging, axis=1))
         return np.concatenate(parts, axis=1)
+
+
+def legacy_cached_attention_fwd(q, keys, values, offset=0):
+    """Cached attention as it was before the mask-free decode path:
+    every call builds the causal mask and softmaxes a masked copy of the
+    scores through fresh temporaries, also when the query sees every
+    key."""
+    if hasattr(keys, "gather"):
+        keys = keys.gather()
+    if hasattr(values, "gather"):
+        values = values.gather()
+    d_head = q.shape[-1]
+    t = q.shape[-2]
+    s = keys.shape[-2]
+    scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(d_head)
+    qpos = offset + np.arange(t)[:, None]
+    kpos = np.arange(s)[None, :]
+    scores = np.where(kpos <= qpos, scores, -np.inf)
+    z = scores - np.max(scores, axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+    return probs @ values

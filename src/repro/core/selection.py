@@ -347,17 +347,24 @@ def _variance_lastaxis(g: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _theoretical_pairs(bits: int, a_candidates: tuple, include_int: bool) -> tuple:
-    """``(grid variance, a)`` per candidate, ascending: the unfitted
-    ranges, computed once per configuration rather than once per
-    selector (serving builds one per KV cache, i.e. per sequence and
-    layer)."""
+def _theoretical_ranges(bits: int, a_candidates: tuple, include_int: bool) -> tuple:
+    """``(sorted_a, thresholds)`` of the unfitted ranges: candidates in
+    ascending grid variance, cut at variance midpoints.  Computed once
+    per configuration rather than once per selector (serving builds one
+    per KV cache, i.e. per sequence and layer); the arrays are shared
+    read-only, so :meth:`VarianceSelector.same_policy` of two unfitted
+    selectors is an identity check."""
     pairs = [(get_mant_grid(a, bits).normalized_variance(), a) for a in a_candidates]
     if include_int:
         itype = IntType(bits)
         g = itype.grid / itype.qmax
         pairs.append((float(np.mean(g * g) - np.mean(g) ** 2), INT_A))
-    return tuple(sorted(pairs))
+    pairs.sort()
+    sorted_a = np.asarray([p[1] for p in pairs])
+    variances = np.asarray([p[0] for p in pairs])
+    thresholds = 0.5 * (variances[:-1] + variances[1:])
+    sorted_a.flags.writeable = thresholds.flags.writeable = False
+    return sorted_a, thresholds
 
 
 class VarianceSelector:
@@ -389,10 +396,9 @@ class VarianceSelector:
     # ------------------------------------------------------------------
     def _init_theoretical(self) -> None:
         """Default ranges from uniform-usage grid variances (Fig. 6)."""
-        pairs = _theoretical_pairs(self.bits, self.a_candidates, self.include_int)
-        self._set_ranges(
-            np.asarray([p[1] for p in pairs]), np.asarray([p[0] for p in pairs])
-        )
+        self._sorted_a, self._thresholds = _theoretical_ranges(
+            self.bits, self.a_candidates, self.include_int)
+        self._grids = None
 
     def _set_ranges(self, sorted_a: np.ndarray, variances: np.ndarray) -> None:
         """Install coefficients ordered by variance, cut at midpoints."""
@@ -517,11 +523,15 @@ class VarianceSelector:
         and its variance thresholds, so distinct instances (e.g. one per
         pooled KV cache) compare equal if those match byte for byte —
         which is what lets the caches' pooled KV write share one
-        selection call.  (Comparing raw bytes is several times cheaper
-        than ``np.array_equal`` and it runs per cache per layer.)
+        selection call.  It runs per cache per layer, so unfitted
+        selectors, which share one pair of range arrays per
+        configuration, compare by identity first.  (Comparing raw bytes
+        is several times cheaper than ``np.array_equal``.)
         """
         return self is other or (
             isinstance(other, VarianceSelector)
-            and self._sorted_a.tobytes() == other._sorted_a.tobytes()
-            and self._thresholds.tobytes() == other._thresholds.tobytes()
+            and (self._sorted_a is other._sorted_a
+                 and self._thresholds is other._thresholds
+                 or self._sorted_a.tobytes() == other._sorted_a.tobytes()
+                 and self._thresholds.tobytes() == other._thresholds.tobytes())
         )

@@ -233,6 +233,12 @@ def cached_attention_fwd(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
     — duck-typed so this model layer needs no serving import — and the
     attention math below runs on the gathered array, making paged
     logits bit-identical to the contiguous-cache path.
+
+    A query that sees every key (``t == 1`` and ``s == offset + 1``:
+    every decode row) builds no mask, since the mask would keep every
+    score.  The softmax runs in place on the freshly computed scores
+    with :func:`softmax`'s ufuncs in its order, so both paths are
+    bitwise the masked formula.
     """
     if hasattr(keys, "gather"):
         keys = keys.gather()
@@ -242,11 +248,16 @@ def cached_attention_fwd(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
     t = q.shape[-2]
     s = keys.shape[-2]
     scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(d_head)
-    qpos = offset + np.arange(t)[:, None]
-    kpos = np.arange(s)[None, :]
-    scores = np.where(kpos <= qpos, scores, -np.inf)
-    probs = softmax(scores, axis=-1)
-    return probs @ values
+    if t != 1 or s != offset + 1:
+        qpos = offset + np.arange(t)[:, None]
+        kpos = np.arange(s)[None, :]
+        scores = np.where(kpos <= qpos, scores, -np.inf)
+    # The reductions as methods: the same ufunc reduce as np.max /
+    # np.sum, without their dispatch wrapper (~2 us a call each).
+    np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+    np.exp(scores, out=scores)
+    np.divide(scores, scores.sum(axis=-1, keepdims=True), out=scores)
+    return scores @ values
 
 
 def causal_attention_bwd(dout: np.ndarray, cache):

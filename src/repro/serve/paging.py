@@ -16,7 +16,12 @@ uses vLLM/mlc-llm-style paging instead:
   waves.
 * **PageTable / PagedTokenBuffer** — per-sequence mapping of logical
   page index to block id, plus a :class:`~repro.quant.kvcache.TokenBuffer`-
-  compatible facade over it.  The existing FP16/INT4/MANT4 cache
+  compatible facade over it.  A layer's decode rows are stored with one
+  page scatter per K/V role (:meth:`PagedTokenBuffer.append_rows`):
+  each sequence's slot is reserved in turn (page allocation and
+  copy-on-write as one append would do them), then one fancy-indexed
+  store writes every row.  The page layout stays in this module; the
+  caches only hand over rows.  The existing FP16/INT4/MANT4 cache
   classes are reused *unchanged* via ``bind_buffer_factory``, which is
   what makes the paged quantization math bit-identical to the flat
   caches: M-ANT's group-wise scheme quantizes each page independently
@@ -588,15 +593,6 @@ class PagedTokenBuffer:
         block = _promote_token_block(block, self.heads, self.d_head)
         t = block.shape[1]
         bt = self._pool.block_tokens
-        if t == 1 and self._len >= self._sealed:
-            # Single-token fast path: the per-tick decode append.
-            page, off = divmod(self._len, bt)
-            if off == 0:
-                self._table.ensure_tokens(self._len + 1)
-            bid = self._table.writable_block(page)
-            self._slab[:, bid, off, :] = block[:, 0, :]
-            self._len += 1
-            return
         if self._len < self._sealed:
             skip = min(t, self._sealed - self._len)
             self._len += skip
@@ -611,6 +607,45 @@ class PagedTokenBuffer:
             self._slab[:, bid, off : off + chunk, :] = block[:, i : i + chunk, :]
             self._len += chunk
             i += chunk
+
+    @classmethod
+    def append_rows(cls, buffers: list, rows: np.ndarray) -> None:
+        """Append one token to each of ``buffers`` (``rows`` is
+        ``(B, heads, d_head)``, row ``b`` for buffer ``b``) with one
+        store.  The buffers share one slab (one pool, layer and role).
+
+        Slots are reserved in list order — a page allocated when the
+        token opens one, a shared page copy-on-write cloned — as
+        successive :meth:`append` calls would, so allocation order,
+        block ids and clones are theirs.  A token over a sealed page
+        advances the length without a store, as :meth:`append` does.
+        Lengths advance after the store: a reservation that raises (the
+        pool exhausted) stores nothing and leaves every length as it
+        was.
+        """
+        slab = buffers[0]._slab
+        if rows.shape[1:] != (slab.shape[0], slab.shape[3]):
+            raise ValueError(
+                f"token rows (n_heads, d_head)={rows.shape[1:]} do not match "
+                f"this buffer's ({slab.shape[0]}, {slab.shape[3]})")
+        if not all(buf._slab is slab for buf in buffers):
+            raise ValueError("append_rows buffers must share one slab "
+                             "(one pool, layer and role)")
+        bt = slab.shape[2]
+        stored, slots = [], []     # slot: position in the flat alias
+        for b, buf in enumerate(buffers):
+            n = buf._len
+            if n >= buf._sealed:
+                page, off = divmod(n, bt)
+                if off == 0:
+                    buf._table.ensure_tokens(n + 1)
+                slots.append(buf._table.writable_block(page) * bt + off)
+                stored.append(b)
+        if len(stored) < len(buffers):
+            rows = rows[stored]
+        buffers[0]._flat[:, np.array(slots, dtype=np.intp)] = rows.transpose(1, 0, 2)
+        for buf in buffers:
+            buf._len += 1
 
     def adopt(self, n: int) -> None:
         """Take the first ``n`` sealed tokens as written, storing nothing."""

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.model import layers as L
+from repro.serve.paging import BlockPool, PagedView, PageTable
 
 
 def num_grad(f, x, eps=1e-5):
@@ -190,3 +192,98 @@ class TestCrossEntropy:
             return L.cross_entropy_fwd(logits, targets)[0]
 
         assert np.allclose(dlogits, num_grad(loss, logits), atol=1e-5)
+
+
+# ----------------------------------------------------------------------
+# cached_attention_fwd against a fixed reference
+# ----------------------------------------------------------------------
+def _masked_reference(q, keys, values, offset=0):
+    """``cached_attention_fwd`` as it was before the mask-free decode
+    path: every call builds the causal mask and softmaxes the masked
+    scores (``softmax`` inlined, so the reference cannot move with the
+    library)."""
+    d_head = q.shape[-1]
+    t = q.shape[-2]
+    s = keys.shape[-2]
+    scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(d_head)
+    qpos = offset + np.arange(t)[:, None]
+    kpos = np.arange(s)[None, :]
+    scores = np.where(kpos <= qpos, scores, -np.inf)
+    z = scores - np.max(scores, axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+    return probs @ values
+
+
+def _paged(arr, layout, block_tokens, rng):
+    """``arr (heads, S, d_head)`` behind a :class:`PagedView` whose pages
+    are consecutive block ids (``"contiguous"``) or shuffled ones
+    (``"scattered"``)."""
+    heads, s, d_head = arr.shape
+    n_pages = -(-s // block_tokens)
+    num_blocks = n_pages + 3
+    pool = BlockPool(n_layers=1, block_tokens=block_tokens, num_blocks=num_blocks)
+    slab = rng.normal(size=(heads, num_blocks, block_tokens, d_head))
+    if layout == "contiguous":
+        blocks = list(range(2, 2 + n_pages))
+    else:
+        blocks = [int(b) for b in rng.permutation(num_blocks)[:n_pages]]
+        if n_pages > 1 and blocks == sorted(blocks):
+            blocks.reverse()
+    for page, bid in enumerate(blocks):
+        chunk = arr[:, page * block_tokens:(page + 1) * block_tokens]
+        slab[:, bid, :chunk.shape[1]] = chunk
+    table = PageTable(pool, blocks=blocks)
+    assert table.contiguous == (layout == "contiguous" or n_pages == 1)
+    return PagedView(slab, slab.reshape(heads, -1, d_head), table, s)
+
+
+@st.composite
+def _attention_cases(draw):
+    """(q, keys, values, offset, layout, block_tokens) covering decode
+    rows that see every key, decode rows with later keys masked, chunk
+    rows, and chunks with masked trailing keys."""
+    heads = draw(st.integers(1, 4))
+    d_head = draw(st.sampled_from([1, 4, 32]))
+    t = draw(st.integers(1, 6))
+    offset = draw(st.integers(0, 90))
+    s = max(1, offset + t + draw(st.integers(-3, 4)))
+    layout = draw(st.sampled_from(["array", "contiguous", "scattered"]))
+    block_tokens = draw(st.sampled_from([1, 3, 8, 32]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return heads, d_head, t, offset, s, layout, block_tokens, seed
+
+
+def _check_attention(case):
+    heads, d_head, t, offset, s, layout, block_tokens, seed = case
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(heads, t, d_head))
+    keys, values = rng.normal(size=(2, heads, s, d_head)) * 3.0
+    want = _masked_reference(q, keys, values, offset)
+    if layout != "array":
+        keys = _paged(keys, layout, block_tokens, rng)
+        values = _paged(values, layout, block_tokens, rng)
+    got = L.cached_attention_fwd(q, keys, values, offset=offset)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# The named cases: decode row seeing every key (the mask-free path),
+# decode row with later keys that must stay masked, chunk rows, and a
+# chunk whose trailing keys are masked; each on arrays and on
+# contiguous and scattered pages.
+_NAMED = [(1, 79, 80), (1, 0, 1), (1, 40, 45), (1, 0, 9), (5, 30, 35), (4, 10, 17)]
+
+
+@pytest.mark.parametrize("layout", ["array", "contiguous", "scattered"])
+@pytest.mark.parametrize("t, offset, s", _NAMED)
+def test_cached_attention_named_cases_match_masked_reference(layout, t, offset, s):
+    _check_attention((2, 32, t, offset, s, layout, 8, t * 1000 + offset))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_attention_cases())
+def test_cached_attention_bitwise_equals_masked_reference(case):
+    """Bitwise equal to the always-masked formula over heads, context
+    lengths, query counts and offsets, on arrays and paged views."""
+    _check_attention(case)

@@ -7,15 +7,20 @@ properties pinned here:
 
 * pooled writes are byte-equal to per-segment ``append_batch`` /
   ``prefill_chunk`` writes for FP16, INT4 and MANT4 — cache bytes,
-  streaming state, page ids and logits — including a window closing
-  mid-tick, ragged final chunks and prefix-sealed paged chunks;
+  streaming state, page ids, allocations, copy-on-write clones and
+  logits — including a window closing mid-tick, a decode row opening a
+  page, fork siblings sharing their last page, ragged final chunks and
+  prefix-sealed paged chunks;
+* a layer's decode rows are stored with one ``append_rows`` per K/V
+  role, whatever their number;
 * a MANT decode cache with no staging scales yet bootstraps them inside
   the pooled write as a per-cache append does;
 * the quantize and select calls per layer do not grow with the number
   of segments;
 * a segment the caches cannot take, a write mixing cache classes or
   configs, a window whose scale overflows fp16 and a NaN K or V are all
-  rejected before any cache of the tick is written.
+  rejected before any cache of the tick is written, and a rejected
+  ``prefill`` leaves its cache unchanged.
 """
 
 import numpy as np
@@ -24,8 +29,8 @@ import pytest
 from repro.core.codec import MantCodec
 from repro.core.selection import VarianceSelector
 from repro.model.transformer import MixedSegment
-from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
-from repro.serve.paging import BlockPool, PagedKVCache
+from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache, TokenBuffer
+from repro.serve.paging import BlockPool, PagedKVCache, PagedTokenBuffer
 
 WINDOW = 32
 
@@ -55,10 +60,12 @@ def cache_state(cache):
 def build_tick(model, factory=mant):
     """A pool of paged sequences and the segments of one mixed tick.
 
-    Four decode rows (for MANT, the 63- and 95-token prompts' rows close
-    their V windows this tick), a full ``CHUNK`` on a fresh sequence, a
-    ragged ``CHUNK_FINAL`` continuing a chunked prefill, and a
-    whole-prompt final chunk over two prefix-sealed pages.
+    Six decode rows — for MANT, the 63- and 95-token prompts' rows close
+    their V windows this tick; the 64-token prompt's row opens a fresh
+    page; the 40-token prompt and its fork share their last page, so
+    the first of them to write clones it — a full ``CHUNK`` on a fresh
+    sequence, a ragged ``CHUNK_FINAL`` continuing a chunked prefill,
+    and a whole-prompt final chunk over two prefix-sealed pages.
     Deterministic, so two builds start from identical state.
     """
     rng = np.random.default_rng(7)
@@ -70,7 +77,8 @@ def build_tick(model, factory=mant):
         model.prefill(ids, lease.caches)
         return lease
 
-    decoders = [prefilled(rng.integers(0, vocab, size=n)) for n in (63, 40, 95, 10)]
+    decoders = [prefilled(rng.integers(0, vocab, size=n)) for n in (63, 40, 95, 10, 64)]
+    decoders.append(decoders[1].fork())
     tokens = rng.integers(0, vocab, size=len(decoders))
     fresh = pool.acquire(factory)
     fresh_ids = rng.integers(0, vocab, size=2 * WINDOW)
@@ -103,13 +111,21 @@ class TestPooledEqualsPerSegment:
         if name == "mant4":
             closing = [leases_a[i].caches[0] for i in (0, 2)]
             assert [c.staging_fill for c in closing] == [WINDOW - 1] * 2
+        allocations, cow_copies = pool_a.allocations, pool_a.cow_copies
         pooled = model.forward_mixed(segs_a)
         if name == "mant4":
             assert [c.staging_fill for c in closing] == [0, 0]   # closed this tick
+        # The decode rows' fresh page and clone, and the chunks' 2 + 2 + 1
+        # new pages.
+        assert pool_a.allocations - allocations == 2 + 5
+        assert pool_a.cow_copies - cow_copies == 1
+        assert leases_a[4].table.n_pages == 3             # 64 tokens + 1
+        assert leases_a[1].table.blocks[1] != leases_a[5].table.blocks[1]
 
         # Reference: the per-segment writes — the inner class's
         # one-segment append_batch per decode row, then one
-        # prefill_chunk per chunk, in pack order.
+        # prefill_chunk per chunk, in pack order — with each decode row
+        # stored by the buffer's own single-token append.
         def per_segment(cls, decode_caches, k_dec, v_dec, chunks):
             for b, cache in enumerate(decode_caches):
                 type(cache.inner).append_batch(
@@ -118,6 +134,8 @@ class TestPooledEqualsPerSegment:
                 cache.inner.prefill_chunk(k, v, final=final)
 
         monkeypatch.setattr(PagedKVCache, "write_layer", classmethod(per_segment))
+        monkeypatch.setattr(PagedTokenBuffer, "append_rows",
+                            classmethod(TokenBuffer.append_rows.__func__))
         pool_b, leases_b, segs_b = build_tick(model, FACTORIES[name])
         per_segment = model.forward_mixed(segs_b)
 
@@ -152,7 +170,7 @@ class TestPooledEqualsPerSegment:
 
 
 def test_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
-    """4 decode rows + 3 chunks: one K ``select_qdq`` and one V
+    """6 decode rows + 3 chunks: one K ``select_qdq`` and one V
     ``qdq_ids`` per layer, and none of the coefficient-level entries
     (``select_batch`` / ``select_from_variances`` / ``qdq``) or the
     code-level ones (``encode`` / ``decode``)."""
@@ -185,8 +203,47 @@ def test_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
                      "select_from_variances": 0, "encode": 0, "decode": 0}
 
 
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_decode_rows_store_with_one_scatter_per_role(unit_model, monkeypatch, name):
+    """Decode rows make no per-row ``PagedTokenBuffer.append``: each
+    layer stores them with one ``append_rows`` per K/V role, whatever
+    the number of rows."""
+    model, _ = unit_model
+    n_layers = model.config.n_layers
+    calls = {"append": 0, "append_rows": []}
+    append, append_rows = PagedTokenBuffer.append, PagedTokenBuffer.append_rows.__func__
+
+    def counting_append(self, block):
+        calls["append"] += 1
+        return append(self, block)
+
+    def counting_append_rows(cls, buffers, rows):
+        calls["append_rows"].append(len(buffers))
+        return append_rows(cls, buffers, rows)
+
+    rng = np.random.default_rng(3)
+    for n_rows in (1, 6):
+        pool = BlockPool(n_layers=n_layers, block_tokens=WINDOW, num_blocks=64)
+        leases = []
+        for n in rng.integers(5, 100, size=n_rows):
+            lease = pool.acquire(FACTORIES[name])
+            model.prefill(rng.integers(0, model.config.vocab_size, size=n),
+                          lease.caches)
+            leases.append(lease)
+        segs = [MixedSegment([1], lease.caches, lease.caches[0].seq_len,
+                             MixedSegment.DECODE) for lease in leases]
+        with monkeypatch.context() as m:
+            m.setattr(PagedTokenBuffer, "append", counting_append)
+            m.setattr(PagedTokenBuffer, "append_rows",
+                      classmethod(counting_append_rows))
+            calls["append"], calls["append_rows"] = 0, []
+            model.forward_mixed(segs)
+        assert calls["append"] == 0
+        assert calls["append_rows"] == [n_rows] * (2 * n_layers)
+
+
 def test_int_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
-    """4 decode rows + 3 chunks: one K and one V ``IntKVCache._q`` per
+    """6 decode rows + 3 chunks: one K and one V ``IntKVCache._q`` per
     layer."""
     model, _ = unit_model
     _, _, segs = build_tick(model, FACTORIES["int4"])
@@ -285,6 +342,32 @@ class TestRejectBeforeAnyWrite:
         assert a.seq_len == 40
         assert cache_state(a) == before
         assert b.seq_len == 0
+
+    @pytest.mark.parametrize("paged", [False, True])
+    @pytest.mark.parametrize("bad", ["nan", "heads"])
+    @pytest.mark.parametrize("name", ["int4", "mant4"])
+    def test_rejected_prefill_leaves_cache_unchanged(self, name, bad, paged):
+        """A prefill that raises — a NaN, or a prompt whose head count
+        is not the cache's — leaves a cache holding 40 tokens as it was."""
+        rng = np.random.default_rng(8)
+        if paged:
+            pool = BlockPool(n_layers=1, block_tokens=WINDOW, num_blocks=8)
+            cache = pool.acquire(FACTORIES[name]).caches[0]
+        else:
+            cache = FACTORIES[name]()
+        cache.prefill(*rng.normal(size=(2, 2, 40, 32)))
+        before = cache_state(cache)
+        if bad == "nan":
+            k, v = rng.normal(size=(2, 2, 24, 32))
+            v[1, 5, 3] = np.nan
+            match = "NaN"
+        else:
+            k, v = rng.normal(size=(2, 3, 24, 32))
+            match = "does not match"
+        with pytest.raises(ValueError, match=match):
+            cache.prefill(k, v)
+        assert cache.seq_len == 40
+        assert cache_state(cache) == before
 
     @pytest.mark.parametrize("role", ["k", "v"])
     def test_int_nan_chunk_rejected(self, role):

@@ -279,6 +279,26 @@ class TestBlockLifecycle:
         with pytest.raises(PoolExhausted):
             cache.append(rng.normal(size=(2, 16)), rng.normal(size=(2, 16)))
 
+    def test_pool_exhaustion_in_pooled_decode_store_changes_no_length(self):
+        """One layer's decode rows, the second short of a page: the
+        first row's page is allocated, nothing is stored and every cache
+        keeps its length and bytes."""
+        pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=3,
+                         enable_prefix_cache=False)
+        caches = [pool.acquire(FP16KVCache).caches[0] for _ in range(2)]
+        rng = np.random.default_rng(18)
+        for cache in caches:
+            drive(cache, rng, seq=8, extra=0)     # one full page each
+        before = [(np.array(c.keys()), np.array(c.values())) for c in caches]
+        k, v = rng.normal(size=(2, 2, 2, 16))
+        with pytest.raises(PoolExhausted):
+            PagedKVCache.append_batch(caches, k, v)
+        assert [c.seq_len for c in caches] == [8, 8]
+        assert [c.n_pages for c in caches] == [2, 1]
+        for c, (keys, values) in zip(caches, before):
+            assert np.array_equal(c.keys(), keys)
+            assert np.array_equal(c.values(), values)
+
 
 # ======================================================================
 # Lease contract: what the pool accepts, what its views promise

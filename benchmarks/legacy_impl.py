@@ -2,7 +2,8 @@
 
 These are verbatim-behaviour copies of the library's original
 per-candidate-loop selection, per-unique-``a`` mask-loop encode,
-list+concatenate KV cache and always-masked cached attention.  They
+list+concatenate KV cache, always-masked cached attention and
+page-by-page paged gather.  They
 exist only so the benchmark harness (``bench_micro_codec.py``,
 ``bench_decode_scaling.py``, ``check_perf.py``) can measure the fast paths against a fixed baseline
 inside one process — they are not part of the library API.
@@ -185,3 +186,21 @@ def legacy_cached_attention_fwd(q, keys, values, offset=0):
     e = np.exp(z)
     probs = e / np.sum(e, axis=-1, keepdims=True)
     return probs @ values
+
+
+def legacy_paged_gather(view):
+    """``PagedView.gather`` of a non-contiguous page table as it was
+    before the one-take gather: a Python loop copying the live tokens
+    page by page into a fresh array (here of the slab's dtype, so the
+    two compare like for like)."""
+    slab, length = view._slab, view._len
+    heads, _, bt, d_head = slab.shape
+    blocks = view._table.blocks
+    out = np.empty((heads, length, d_head), dtype=slab.dtype)
+    pos = page = 0
+    while pos < length:
+        c = min(bt, length - pos)
+        out[:, pos : pos + c] = slab[:, blocks[page], :c]
+        pos += c
+        page += 1
+    return out

@@ -234,6 +234,11 @@ def cached_attention_fwd(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
     attention math below runs on the gathered array, making paged
     logits bit-identical to the contiguous-cache path.
 
+    Quantized caches store float32 (their values are exact in it).
+    Keys and values are widened to float64 before the math: numpy's
+    mixed float64 @ float32 matmul does not run the float64 GEMM, and
+    differs from it in the last ulp.  Float64 storage is used as is.
+
     A query that sees every key (``t == 1`` and ``s == offset + 1``:
     every decode row) builds no mask, since the mask would keep every
     score.  The softmax runs in place on the freshly computed scores
@@ -244,6 +249,8 @@ def cached_attention_fwd(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
         keys = keys.gather()
     if hasattr(values, "gather"):
         values = values.gather()
+    keys = keys.astype(np.float64, copy=False)
+    values = values.astype(np.float64, copy=False)
     d_head = q.shape[-1]
     t = q.shape[-2]
     s = keys.shape[-2]

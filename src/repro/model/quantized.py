@@ -221,7 +221,8 @@ def _make_kv_quant(cfg: PTQConfig, selector: VarianceSelector | None):
     prefill chunk into a fresh KV cache, every row of a layer in one
     pooled :meth:`~repro.quant.kvcache.KVCache.write_layer` — the
     writer generation and serving use, so perplexity reads exactly the
-    cache contents they attend over."""
+    cache contents they attend over, widened from the caches' float32
+    storage to float64 as attention reads them."""
     if cfg.kv_method == "fp16":
         return None
     if cfg.kv_method == "mant":
@@ -240,8 +241,8 @@ def _make_kv_quant(cfg: PTQConfig, selector: VarianceSelector | None):
         caches = [make_cache() for _ in range(len(kh))]
         type(caches[0]).write_layer(
             [], None, None, [(c, k, v, True) for c, k, v in zip(caches, kh, vh)])
-        k_q = np.stack([c.keys() for c in caches])
-        v_q = np.stack([c.values() for c in caches])
+        k_q = np.stack([c.keys() for c in caches], dtype=np.float64)
+        v_q = np.stack([c.values() for c in caches], dtype=np.float64)
         return (q_quant(qh) if q_quant else qh), k_q, v_q
 
     return hook

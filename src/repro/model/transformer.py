@@ -255,9 +255,25 @@ class TransformerLM:
         n = self.config.n_layers
         if len(caches) != n:
             raise ValueError(f"expected {n} per-layer caches, got {len(caches)}")
-        if offset != caches[0].seq_len:
-            raise ValueError(f"offset {offset} disagrees with the cache "
-                             f"length {caches[0].seq_len}")
+        for c in caches:
+            if offset != c.seq_len:
+                raise ValueError(f"offset {offset} disagrees with the cache "
+                                 f"length {c.seq_len}")
+
+    def _check_layers(self, decode_caches, chunks) -> None:
+        """Run every layer's :meth:`~repro.quant.kvcache.KVCache.check_write`
+        before the first layer writes: ``decode_caches`` are per-sequence
+        lists of per-layer caches taking one token, ``chunks`` are
+        ``(caches, t, final)``.  A tick whose caches pool at one layer
+        but not at another raises before any cache changes.  (Layer 0's
+        ``write_layer`` runs the same check itself before it writes.)"""
+        cfg = self.config
+        geom = (cfg.n_heads, cfg.d_head)
+        for i in range(1, cfg.n_layers):
+            layer = [caches[i] for caches in decode_caches]
+            writes = [(caches[i], (cfg.n_heads, t, cfg.d_head), final)
+                      for caches, t, final in chunks]
+            type((layer or writes[0])[0]).check_write(layer, writes, geom)
 
     def _block(self, x, p, i, q, mixer):
         """Layer ``i`` of every inference forward: norm1 → act-quant →
@@ -408,6 +424,7 @@ class TransformerLM:
         positions = np.asarray(positions, dtype=np.int64)
         for caches, pos in zip(caches_per_seq, positions):
             self._check_caches(caches, pos)
+        self._check_layers(caches_per_seq, [])
         ids = np.asarray(tokens, dtype=np.int64).reshape(bsz, 1)
         x, _ = L.embedding_fwd(ids, p["embed"])               # (B, 1, d)
         if cfg.arch == "opt":
@@ -469,9 +486,9 @@ class TransformerLM:
         extended as ``prefill_chunk`` — are one
         :meth:`~repro.quant.kvcache.KVCache.write_layer` call, which
         every cache class pools into one K and one V quantize.  Every
-        segment is validated before any cache is written; segments
-        whose caches differ in class or quantization config raise
-        ``ValueError``.  ``trace`` is
+        segment is validated, at every layer, before any cache is
+        written; segments whose caches differ in class or quantization
+        config at any layer raise ``ValueError``.  ``trace`` is
         :meth:`decode_step_batch`'s span factory.
 
         Returns one entry per segment: last-position logits ``(V,)``
@@ -531,6 +548,10 @@ class TransformerLM:
             rows = slice(rows[0], rows[-1] + 1)
         chunks = [(seg, s, e) for seg, (s, e) in zip(segments, spans)
                   if seg.kind != MixedSegment.DECODE]
+        self._check_layers(
+            [seg.caches for seg in decode],
+            [(seg.caches, e - s, seg.kind == MixedSegment.CHUNK_FINAL)
+             for seg, s, e in chunks])
 
         def mixer(i, qp, kp, vp):
             qh, kh, vh = (_split_heads(a, cfg.n_heads)[0] for a in (qp, kp, vp))

@@ -22,6 +22,18 @@ the teacher-forced perplexity hook of
 :func:`repro.model.quantized.build_ptq` (each batch row one final
 prefill chunk) all write through :meth:`KVCache.write_layer`.
 
+Each cache stores its values at the narrowest float width that holds
+every one of them exactly (:attr:`_BufferedKVCache.storage_dtype`).  A
+MANT or INT value is an integer level times an fp16 scale (11
+significant bits), so float32 holds it exactly while the level is
+below 2**13: ``MantKVCache`` with integer coefficients and
+``IntKVCache`` up to 14 bits store float32, half the bytes of float64;
+``FP16KVCache`` (unrounded activations) and non-integer coefficient
+sets store float64.  Every read widens to float64 explicitly before
+any arithmetic (attention, the perplexity hook, the MANT window
+close), so results are bitwise those of float64 storage: numpy's mixed
+float64 @ float32 matmul is not the float64 GEMM bit for bit.
+
 Writes are pooled per layer: the model hands each layer's whole tick —
 one token for every decoding sequence plus every prompt chunk — to one
 :meth:`KVCache.write_layer` call, the one write each cache class
@@ -73,7 +85,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.codec import (
-    _FP16_OVERFLOW, INT_A, MantCodec, _group_absmax, _scale_base,
+    _FP16_OVERFLOW, INT_A, MantCodec, _group_absmax, _scale_base, grid_tables,
 )
 from repro.core.selection import VarianceSelector
 from repro.datatypes.int_type import IntType
@@ -89,6 +101,22 @@ __all__ = [
 ]
 
 _EMPTY = np.empty((0, 0, 0))
+
+# A quantized cache stores integer levels times fp16 scales.  An fp16
+# scale has 11 significant bits and an exponent float32 represents
+# normally, so the product fits float32's 24-bit significand exactly
+# while the level has at most 13 bits.
+_F32_EXACT_LEVEL = 2**13
+
+
+def _exact_dtype(levels) -> type:
+    """``np.float32`` when every one of ``levels`` (arrays of the
+    unscaled values a cache's quantizers produce, each stored times an
+    fp16 scale) is an integer below ``_F32_EXACT_LEVEL`` in magnitude,
+    else ``np.float64``."""
+    mags = np.abs(np.concatenate([np.ravel(lv) for lv in levels]))
+    exact = (mags == np.floor(mags)).all() and mags.max() < _F32_EXACT_LEVEL
+    return np.float32 if exact else np.float64
 
 
 def _promote_token_block(block: np.ndarray, heads: int, d_head: int) -> np.ndarray:
@@ -119,8 +147,9 @@ class TokenBuffer:
 
     __slots__ = ("_buf", "_len")
 
-    def __init__(self, heads: int, d_head: int, capacity: int = 16):
-        self._buf = np.empty((heads, max(1, capacity), d_head))
+    def __init__(self, heads: int, d_head: int, capacity: int = 16,
+                 dtype=np.float64):
+        self._buf = np.empty((heads, max(1, capacity), d_head), dtype=dtype)
         self._len = 0
 
     def __len__(self) -> int:
@@ -140,7 +169,7 @@ class TokenBuffer:
         if need <= cap:
             return
         heads, _, d_head = self._buf.shape
-        grown = np.empty((heads, max(need, 2 * cap), d_head))
+        grown = np.empty((heads, max(need, 2 * cap), d_head), dtype=self._buf.dtype)
         grown[:, : self._len] = self._buf[:, : self._len]
         self._buf = grown
 
@@ -178,6 +207,13 @@ class TokenBuffer:
             raise ValueError(f"tail({n}) exceeds buffer length {self._len}")
         return self._buf[:, self._len - n : self._len]
 
+    def recent(self, n: int) -> np.ndarray:
+        """Zero-copy read-only view of the last ``n`` tokens."""
+        v = self.tail(n)
+        v.flags.writeable = False
+        return v
+
+
 class KVCache:
     """Interface the attention layer drives.
 
@@ -214,6 +250,15 @@ class KVCache:
         that do not share one class and quantization config raise
         ``ValueError``.
         """
+        raise NotImplementedError
+
+    @classmethod
+    def check_write(cls, decode_caches: list, chunks: list, geom) -> None:
+        """Raise what :meth:`write_layer` would raise about its caches,
+        before any K/V exist: ``decode_caches`` each taking one
+        ``geom`` = ``(n_heads, d_head)`` token, ``chunks`` a list of
+        ``(cache, (n_heads, t, d_head), final)``.  A forward checks
+        every layer with it before its first layer writes."""
         raise NotImplementedError
 
     def prefill_chunk(self, k: np.ndarray, v: np.ndarray, final: bool = False) -> None:
@@ -272,16 +317,27 @@ def _unpoolable(first: type, other: type) -> ValueError:
     )
 
 
+def _chunk_shape(k: np.ndarray, v: np.ndarray) -> tuple:
+    """The ``(n_heads, t, d_head)`` of a prefill chunk's K and V, which
+    must match."""
+    if k.ndim != 3 or k.shape != v.shape:
+        raise ValueError(
+            f"prefill chunk k/v must be matching (n_heads, t, d_head), "
+            f"got {k.shape} and {v.shape}"
+        )
+    return k.shape
+
+
 def _check_write(decode_caches: list, k_dec, v_dec, chunks: list):
     """Validate a whole :meth:`KVCache.write_layer` before any cache
     changes; returns its first cache and its arrays as float64.
 
-    Every cache must pool with the first (same class and config), the
-    decode block must be one ``(n_heads, d_head)`` token per decode
-    cache in each cache's established geometry, and every chunk must
-    pass its cache's ``_check_chunk``.
+    The decode block must be one ``(n_heads, d_head)`` token per decode
+    cache and every chunk a matching K/V pair; the caches must then
+    pass :meth:`KVCache.check_write`.
     """
     first = decode_caches[0] if decode_caches else chunks[0][0]
+    geom = None
     if decode_caches:
         k_dec = np.asarray(k_dec, dtype=np.float64)
         v_dec = np.asarray(v_dec, dtype=np.float64)
@@ -294,23 +350,13 @@ def _check_write(decode_caches: list, k_dec, v_dec, chunks: list):
             raise ValueError(
                 f"v_t shape {v_dec.shape[1:]} does not match k_t's {k_dec.shape[1:]}")
         geom = k_dec.shape[1:]
-        for c in decode_caches:
-            if c is not first and not first._pools_with(c):
-                raise _unpoolable(type(first), type(c))
-            buf = c._k
-            if buf is not None and (buf.heads, buf.d_head) != geom:
-                raise ValueError(
-                    f"k_t shape {geom} does not match this cache's established "
-                    f"(n_heads, d_head)=({buf.heads}, {buf.d_head})"
-                )
     chunks = [
         (c, np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64), final)
         for c, k, v, final in chunks
     ]
-    for c, k, v, final in chunks:
-        if c is not first and not first._pools_with(c):
-            raise _unpoolable(type(first), type(c))
-        c._check_chunk(k, v, final)
+    type(first).check_write(
+        decode_caches, [(c, _chunk_shape(k, v), final) for c, k, v, final in chunks],
+        geom)
     return first, k_dec, v_dec, chunks
 
 
@@ -334,7 +380,15 @@ def _pooled_rows(block, chunks: list, role: int, d_head: int) -> np.ndarray:
 
 class _BufferedKVCache(KVCache):
     """Buffer plumbing, plus the pooled write of caches that quantize
-    per token (groups along ``d_head``): subclasses define ``_q``."""
+    per token (groups along ``d_head``): subclasses define ``_q``.
+
+    ``storage_dtype`` is the float width the K/V buffers store: the
+    narrowest that holds every value the cache writes exactly (see the
+    module docstring), float64 unless a subclass proves less suffices.
+    Readers widen to float64 before any arithmetic.
+    """
+
+    storage_dtype = np.float64
 
     def __init__(self):
         self._k: TokenBuffer | None = None
@@ -345,21 +399,23 @@ class _BufferedKVCache(KVCache):
         """Route buffer allocation through a pool (see
         :class:`repro.serve.paging.BlockPool`).
 
-        ``factory(role, heads, d_head, capacity)`` must return a
-        :class:`TokenBuffer`-compatible object for ``role`` in
-        ``("k", "v")``.  Must be bound before the cache holds data.
+        ``factory(role, heads, d_head, capacity, dtype)`` must return a
+        :class:`TokenBuffer`-compatible object storing ``dtype`` (the
+        cache's :attr:`storage_dtype`) for ``role`` in ``("k", "v")``.
+        Must be bound before the cache holds data.
         """
         if self._k is not None:
             raise RuntimeError("cannot rebind buffers on a cache already holding data")
         self._buffer_factory = factory
 
     def _reset_buffers(self, heads: int, d_head: int, capacity: int) -> None:
+        dtype = self.storage_dtype
         if self._buffer_factory is None:
-            self._k = TokenBuffer(heads, d_head, capacity)
-            self._v = TokenBuffer(heads, d_head, capacity)
+            self._k = TokenBuffer(heads, d_head, capacity, dtype)
+            self._v = TokenBuffer(heads, d_head, capacity, dtype)
         else:
-            self._k = self._buffer_factory("k", heads, d_head, capacity)
-            self._v = self._buffer_factory("v", heads, d_head, capacity)
+            self._k = self._buffer_factory("k", heads, d_head, capacity, dtype)
+            self._v = self._buffer_factory("v", heads, d_head, capacity, dtype)
 
     def adopt_prefix(self, n_tokens, heads, d_head, state):
         if self._k is not None or self._buffer_factory is None:
@@ -377,7 +433,8 @@ class _BufferedKVCache(KVCache):
         its first store)."""
         # The base class's check: MANT's own also rejects a chunk after
         # a completed prefill, which is what a new prefill replaces.
-        _BufferedKVCache._check_chunk(self, np.asarray(k), np.asarray(v), True)
+        _BufferedKVCache._check_chunk(
+            self, _chunk_shape(np.asarray(k), np.asarray(v)), True)
         old = self._k, self._v
         self._k = self._v = None
         try:
@@ -395,20 +452,40 @@ class _BufferedKVCache(KVCache):
         quantization calls (same class and config)."""
         return type(other) is type(self)
 
-    def _check_chunk(self, k: np.ndarray, v: np.ndarray, final: bool) -> None:
-        """Reject a prefill chunk this cache cannot take, before any write."""
-        if k.ndim != 3 or k.shape != v.shape:
+    def _check_decode(self, geom) -> None:
+        """Reject a decode token of ``geom`` = ``(n_heads, d_head)`` this
+        cache cannot take, before any write."""
+        buf = self._k
+        if buf is not None and (buf.heads, buf.d_head) != geom:
             raise ValueError(
-                f"prefill chunk k/v must be matching (n_heads, t, d_head), "
-                f"got {k.shape} and {v.shape}"
+                f"k_t shape {geom} does not match this cache's established "
+                f"(n_heads, d_head)=({buf.heads}, {buf.d_head})"
             )
-        if self._k is not None and (k.shape[0], k.shape[2]) != (
+
+    def _check_chunk(self, shape, final: bool) -> None:
+        """Reject a prefill chunk of ``shape`` = ``(n_heads, t, d_head)``
+        this cache cannot take, before any write."""
+        if self._k is not None and (shape[0], shape[2]) != (
                 self._k.heads, self._k.d_head):
             raise ValueError(
-                f"prefill chunk (n_heads, d_head)=({k.shape[0]}, "
-                f"{k.shape[2]}) does not match this cache's "
+                f"prefill chunk (n_heads, d_head)=({shape[0]}, "
+                f"{shape[2]}) does not match this cache's "
                 f"({self._k.heads}, {self._k.d_head})"
             )
+
+    @classmethod
+    def check_write(cls, decode_caches, chunks, geom):
+        """Every cache must pool with the first (same class and config)
+        and take its token or chunk in its established geometry."""
+        first = decode_caches[0] if decode_caches else chunks[0][0]
+        for c in decode_caches:
+            if c is not first and not first._pools_with(c):
+                raise _unpoolable(type(first), type(c))
+            c._check_decode(geom)
+        for c, shape, final in chunks:
+            if c is not first and not first._pools_with(c):
+                raise _unpoolable(type(first), type(c))
+            c._check_chunk(shape, final)
 
     @classmethod
     def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
@@ -488,6 +565,8 @@ class IntKVCache(_BufferedKVCache):
         super().__init__()
         self.bits = bits
         self.group_size = group_size
+        # Levels are the integers up to qmax: float32 up to 14 bits.
+        self.storage_dtype = _exact_dtype([2 ** (bits - 1) - 1])
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         g = min(self.group_size, x.shape[-1])
@@ -546,6 +625,12 @@ class MantKVCache(_BufferedKVCache):
         # Channel-wise INT8 staging scales, fixed at prefill (Fig. 8).
         self._stage_scale: np.ndarray | None = None  # (heads, d_head)
         self._int8 = IntType(staging_bits)
+        # Stored values: levels of the selector's candidate grids (K
+        # rows, final V windows; fitting only narrows the set) or INT
+        # staging levels, times fp16 scales.
+        coeffs = self.selector.a_candidates + ((INT_A,) if self.selector.include_int else ())
+        self.storage_dtype = _exact_dtype(
+            [grid_tables(a, bits).grid for a in coeffs] + [self._int8.qmax])
         # Channel maxima accumulated across prefill chunks; non-None
         # exactly while a chunked prefill is in flight.
         self._chunk_ch_max: np.ndarray | None = None
@@ -571,6 +656,7 @@ class MantKVCache(_BufferedKVCache):
             and other.group_size == self.group_size
             and other.window == self.window
             and other.staging_bits == self.staging_bits
+            and other.storage_dtype is self.storage_dtype
         )
 
     # ------------------------------------------------------------------
@@ -581,12 +667,20 @@ class MantKVCache(_BufferedKVCache):
         self._acc_sqsum = np.zeros((heads, d_head))
         self._acc_max = np.zeros((heads, d_head))
 
-    def _check_chunk(self, k: np.ndarray, v: np.ndarray, final: bool) -> None:
-        super()._check_chunk(k, v, final)
+    def _check_decode(self, geom) -> None:
+        super()._check_decode(geom)
+        if self._chunk_ch_max is not None and self._k is not None:
+            raise RuntimeError(
+                "append during an unfinished chunked prefill — feed "
+                "the last chunk with prefill_chunk(..., final=True) first"
+            )
+
+    def _check_chunk(self, shape, final: bool) -> None:
+        super()._check_chunk(shape, final)
         if self._k is not None and self._chunk_ch_max is None:
             raise RuntimeError(
                 "prefill_chunk on a cache whose prefill already completed")
-        t = k.shape[1]
+        t = shape[1]
         if not final and t % self.window:
             raise ValueError(
                 f"non-final prefill chunk of {t} tokens is not a multiple "
@@ -674,12 +768,6 @@ class MantKVCache(_BufferedKVCache):
         if not decode_caches and not chunks:
             return
         first, k_dec, v_dec, chunks = _check_write(decode_caches, k_dec, v_dec, chunks)
-        for c in decode_caches:
-            if c._chunk_ch_max is not None and c._k is not None:
-                raise RuntimeError(
-                    "append during an unfinished chunked prefill — feed "
-                    "the last chunk with prefill_chunk(..., final=True) first"
-                )
         window = first.window
         n_dec = len(decode_caches)
         d_head = (k_dec if n_dec else chunks[0][1]).shape[-1]
@@ -707,11 +795,13 @@ class MantKVCache(_BufferedKVCache):
                       for c, fresh in zip(decode_caches, boot)]
             closing = [b for b, shut in enumerate(closes) if shut]
             for b in closing:
-                c = decode_caches[b]
                 win = vq[b][:, None, :]
                 if window > 1:
+                    # The window's staged rows: the open window's page,
+                    # widened to float64 with the new row.
                     win = np.concatenate(
-                        [np.asarray(c.values())[:, c._v_final:], win], axis=1)
+                        [decode_caches[b]._v.recent(window - 1), win], axis=1,
+                        dtype=np.float64)
                 rows.append(np.moveaxis(win, 1, -1).reshape(-1, window))
         # Per chunk: its running channel maxima at each full window's
         # end, at its end, and the staging scales a final chunk fixes.

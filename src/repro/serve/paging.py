@@ -7,8 +7,10 @@ uses vLLM/mlc-llm-style paging instead:
 
 * **BlockPool** — fixed-size pages of ``block_tokens`` tokens backed by
   one shared ``(heads, num_blocks, block_tokens, d_head)`` slab per
-  (layer, K/V-role).  A *block id* names the same row in every slab, so
-  one logical page table per sequence covers all layers.  Blocks are
+  (layer, K/V-role), at the caches' storage width (float32 for the
+  MANT/INT caches, whose values it holds exactly; float64 for FP16).
+  A *block id* names the same row in every slab, so one logical page
+  table per sequence covers all layers.  Blocks are
   ref-counted and recycled through a free list; blocks whose content is
   a registered prompt prefix are retained ("cached-free") after their
   last reference drops and are only evicted LRU when allocation needs
@@ -128,8 +130,9 @@ class BlockPool:
     """Fixed-size KV pages shared by every sequence of one engine.
 
     One ``(heads, num_blocks, block_tokens, d_head)`` slab per
-    (layer, role) — created lazily at the first geometry sighting —
-    with a single block-id space across all of them: block ``b`` is
+    (layer, role) — created lazily at the first geometry sighting, at
+    the cache's :attr:`~repro.quant.kvcache._BufferedKVCache.storage_dtype`
+    — with a single block-id space across all of them: block ``b`` is
     row ``b`` of every slab, so a sequence's page table is one list of
     ids covering all layers, and "blocks in use" is a direct measure of
     KV memory.
@@ -442,11 +445,13 @@ class BlockPool:
     # ------------------------------------------------------------------
     # Storage
     # ------------------------------------------------------------------
-    def _get_slab(self, layer: int, role: str, heads: int, d_head: int) -> np.ndarray:
+    def _get_slab(self, layer: int, role: str, heads: int, d_head: int,
+                  dtype) -> np.ndarray:
         key = (layer, role)
         slab = self._slabs.get(key)
         if slab is None:
-            slab = np.empty((heads, self.num_blocks, self.block_tokens, d_head))
+            slab = np.empty((heads, self.num_blocks, self.block_tokens, d_head),
+                            dtype=dtype)
             self._slabs[key] = slab
             # Slabs are fixed-size (never reallocated), so one flat
             # (heads, num_blocks·bt, d_head) alias per slab serves the
@@ -456,6 +461,11 @@ class BlockPool:
             raise ValueError(
                 f"layer {layer} {role}-cache geometry ({heads}, {d_head}) does "
                 f"not match the pool's ({slab.shape[0]}, {slab.shape[3]})"
+            )
+        elif slab.dtype != dtype:
+            raise ValueError(
+                f"layer {layer} {role}-cache storage {np.dtype(dtype).name} does "
+                f"not match the pool's {slab.dtype.name}"
             )
         return slab
 
@@ -471,10 +481,11 @@ class BlockPool:
         return slab
 
     def _buffer_factory(self, lease: "PagedLease", layer: int):
-        def make(role: str, heads: int, d_head: int, capacity: int) -> PagedTokenBuffer:
+        def make(role: str, heads: int, d_head: int, capacity: int,
+                 dtype) -> PagedTokenBuffer:
             # `capacity` is a contiguous-buffer concept; pages are
             # allocated on demand at first write instead.
-            slab = self._get_slab(layer, role, heads, d_head)
+            slab = self._get_slab(layer, role, heads, d_head, dtype)
             return PagedTokenBuffer(
                 self, lease.table, slab, self._flats[(layer, role)],
                 sealed=lease.sealed_tokens,
@@ -664,6 +675,20 @@ class PagedTokenBuffer:
         """
         return PagedView(self._slab, self._flat, self._table, self._len)
 
+    def _last_tokens(self, n: int) -> tuple[int, int]:
+        """``(page, offset)`` of the last ``n`` tokens, which must lie in
+        one page."""
+        if n > self._len:
+            raise ValueError(f"last {n} tokens exceed buffer length {self._len}")
+        bt = self._pool.block_tokens
+        page, off = divmod(self._len - n, bt)
+        if n and (self._len - 1) // bt != page:
+            raise ValueError(
+                f"last {n} tokens span a page boundary (block_tokens={bt}); "
+                "page size must be a multiple of the in-place window"
+            )
+        return page, off
+
     def tail(self, n: int) -> np.ndarray:
         """Writable view of the last ``n`` tokens (single page only).
 
@@ -672,18 +697,18 @@ class PagedTokenBuffer:
         always lands inside one page, so a direct writable slab slice
         (after copy-on-write) preserves the flat-cache semantics.
         """
-        if n > self._len:
-            raise ValueError(f"tail({n}) exceeds buffer length {self._len}")
-        bt = self._pool.block_tokens
-        start = self._len - n
-        spage, soff = divmod(start, bt)
-        if n and (self._len - 1) // bt != spage:
-            raise ValueError(
-                f"tail({n}) spans a page boundary (block_tokens={bt}); "
-                "page size must be a multiple of the in-place window"
-            )
-        bid = self._table.writable_block(spage)
-        return self._slab[:, bid, soff : soff + n, :]
+        page, off = self._last_tokens(n)
+        bid = self._table.writable_block(page)
+        return self._slab[:, bid, off : off + n, :]
+
+    def recent(self, n: int) -> np.ndarray:
+        """Read-only view of the last ``n`` tokens (single page only, as
+        :meth:`tail`, but a read: no copy-on-write).  The MANT V cache
+        reads a closing window's staged rows with it."""
+        page, off = self._last_tokens(n)
+        out = self._slab[:, self._table.blocks[page], off : off + n, :]
+        out.flags.writeable = False
+        return out
 
     def clone_for(self, table: PageTable) -> "PagedTokenBuffer":
         """Same-length facade over a forked sequence's page table."""
@@ -703,6 +728,8 @@ class PagedView:
     common no-sharing case, tracked incrementally by the table) the
     gather is one zero-copy slice of the slab's flat alias — the same
     cost as a flat :class:`~repro.quant.kvcache.TokenBuffer` view.
+    Either way the result has the slab's storage width; readers widen
+    it to float64 before any arithmetic.
     """
 
     __slots__ = ("_slab", "_flat", "_table", "_len")
@@ -719,7 +746,9 @@ class PagedView:
         return (self._slab.shape[0], self._len, self._slab.shape[3])
 
     def gather(self) -> np.ndarray:
-        """Materialize ``(heads, len, d_head)``; zero-copy if contiguous."""
+        """Materialize ``(heads, len, d_head)``; zero-copy if contiguous,
+        else one page gather (the live pages, the last one whole) sliced
+        to the live tokens."""
         length = self._len
         if length == 0:
             return _EMPTY
@@ -729,20 +758,10 @@ class PagedView:
             out = self._flat[:, start : start + length]
             out.flags.writeable = False    # aliases the slab
             return out
-        # Non-contiguous: copy exactly the live tokens, page by page
-        # (cheaper than one advanced-index gather, which would also
-        # materialize the unused remainder of the last page).
         slab = self._slab
         heads, _, bt, d_head = slab.shape
-        blocks = table.blocks
-        out = np.empty((heads, length, d_head))
-        pos = page = 0
-        while pos < length:
-            c = min(bt, length - pos)
-            out[:, pos : pos + c] = slab[:, blocks[page], :c]
-            pos += c
-            page += 1
-        return out
+        pages = slab.take(table.blocks[: -(-length // bt)], axis=1)
+        return pages.reshape(heads, -1, d_head)[:, :length]
 
     def __array__(self, dtype=None, copy=None):
         arr = self.gather()
@@ -760,9 +779,10 @@ class PagedKVCache(KVCache):
     Wraps one buffered cache (FP16/INT4/MANT4) whose storage is paged;
     the quantization math runs entirely in the wrapped class, so the
     paged cache is bit-identical to the flat one per construction.
-    ``write_layer`` unwraps to the inner class, so the pooled
-    quantization path is preserved under paging; a write mixing paged
-    and unpaged caches raises ``ValueError`` before any cache changes.
+    ``write_layer`` and ``check_write`` unwrap to the inner class, so
+    the pooled quantization path is preserved under paging; a write
+    mixing paged and unpaged caches raises ``ValueError`` before any
+    cache changes.
     ``prefill``, the cache-specific extras (``staging_fill``,
     ``window``, ...) and everything else unknown here delegate to the
     inner cache.
@@ -814,6 +834,15 @@ class PagedKVCache(KVCache):
     def append_batch(cls, caches, k_batch, v_batch):
         inners = cls._inners(caches)
         type(inners[0]).append_batch(inners, k_batch, v_batch)
+
+    @classmethod
+    def check_write(cls, decode_caches, chunks, geom):
+        inners = cls._inners(decode_caches)
+        chunk_inners = cls._inners([c for c, _, _ in chunks])
+        type((inners or chunk_inners)[0]).check_write(
+            inners, [(c, shape, final)
+                     for c, (_, shape, final) in zip(chunk_inners, chunks)],
+            geom)
 
     @classmethod
     def write_layer(cls, decode_caches, k_dec, v_dec, chunks):

@@ -139,7 +139,8 @@ class TestFp16ScaleUnderflow:
         cache.append(kt, kt)
         for out in (cache.keys(), cache.values()):
             assert np.isfinite(out).all()
-            assert out[:, -1].tobytes() == np.zeros((2, 32)).tobytes()
+            assert (np.asarray(out[:, -1], np.float64).tobytes()
+                    == np.zeros((2, 32)).tobytes())
 
     def test_mant_cache_tiny_channel_stages_and_closes(self, rng):
         cache = MantKVCache(group_size=32, window=32)
@@ -215,7 +216,9 @@ class TestAllZeroGroups:
             vt[:, 5] = 0.0
             cache.append(kt, vt)
         assert cache.staging_fill == 6          # two windows closed
-        vals, keys = cache.values(), cache.keys()
+        # Widened from the float32 storage: +0 stays +0.
+        vals = np.asarray(cache.values(), np.float64)
+        keys = np.asarray(cache.keys(), np.float64)
         assert vals[:, :, 5].tobytes() == np.zeros((2, 70)).tobytes()
         assert keys[1, :40].tobytes() == np.zeros((40, 32)).tobytes()
 

@@ -321,6 +321,45 @@ class TestRejectBeforeAnyWrite:
                 assert [cache_state(c) for c in a + b] == before, label
                 assert [c.seq_len for c in fresh] == [0] * n_layers, label
 
+    @pytest.mark.parametrize("other", ["int4", "paged mant"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_layer_one_mismatch_rejected_before_layer_zero_writes(
+            self, unit_model, other, batched):
+        """Caches that pool at layer 0 but not at layer 1 raise before
+        layer 0 writes: one sequence's layer-1 cache is another class
+        (or paged beside unpaged ones) while every layer-0 cache is a
+        MantKVCache.  Both the mixed tick and the batched decode step."""
+        model, _ = unit_model
+        assert model.config.n_layers == 2
+        a = self._prefilled(model, 40)
+        if other == "int4":
+            layer1 = IntKVCache(bits=4, group_size=WINDOW)
+        else:
+            pool = BlockPool(n_layers=1, block_tokens=WINDOW, num_blocks=8)
+            layer1 = pool.acquire(mant).caches[0]
+        b = [mant(), layer1]
+        model.prefill(np.arange(40) % model.config.vocab_size, b)
+        before = [cache_state(c) for c in a + b]
+        with pytest.raises(ValueError, match="one class"):
+            if batched:
+                model.decode_step_batch([3, 5], [a, b], [40, 40])
+            else:
+                model.forward_mixed([MixedSegment([3], a, 40, MixedSegment.DECODE),
+                                     MixedSegment([5], b, 40, MixedSegment.DECODE)])
+        assert [c.seq_len for c in a + b] == [40] * 4
+        assert [cache_state(c) for c in a + b] == before
+
+    def test_layer_one_length_mismatch_rejected(self, unit_model):
+        """A sequence whose layer-1 cache is not at the segment's offset
+        is rejected before layer 0 writes."""
+        model, _ = unit_model
+        a = self._prefilled(model, 40)
+        a[1] = self._prefilled(model, 41, seed=1)[1]
+        before = [cache_state(c) for c in a]
+        with pytest.raises(ValueError, match="disagrees with the cache length"):
+            model.forward_mixed([MixedSegment([3], a, 40, MixedSegment.DECODE)])
+        assert [cache_state(c) for c in a] == before
+
     @pytest.mark.parametrize("final, t, at", [
         (False, 2 * WINDOW, 5),     # a full window's MANT scale overflows
         (True, 40, 5),              # ... and the staging scales

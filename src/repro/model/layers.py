@@ -9,6 +9,8 @@ quantizers expect (groups along ``in_features``, the accumulation dim).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -241,9 +243,10 @@ def cached_attention_fwd(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
 
     A query that sees every key (``t == 1`` and ``s == offset + 1``:
     every decode row) builds no mask, since the mask would keep every
-    score.  The softmax runs in place on the freshly computed scores
-    with :func:`softmax`'s ufuncs in its order, so both paths are
-    bitwise the masked formula.
+    score.  The scaling and the softmax run in place on the freshly
+    computed scores with :func:`softmax`'s ufuncs in its order (the
+    same IEEE square root and divide as ``/ np.sqrt(d_head)``), so both
+    paths are bitwise the masked formula.
     """
     if hasattr(keys, "gather"):
         keys = keys.gather()
@@ -254,7 +257,8 @@ def cached_attention_fwd(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
     d_head = q.shape[-1]
     t = q.shape[-2]
     s = keys.shape[-2]
-    scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(d_head)
+    scores = q @ np.swapaxes(keys, -1, -2)
+    np.divide(scores, math.sqrt(d_head), out=scores)
     if t != 1 or s != offset + 1:
         qpos = offset + np.arange(t)[:, None]
         kpos = np.arange(s)[None, :]

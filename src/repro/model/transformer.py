@@ -262,14 +262,16 @@ class TransformerLM:
 
     def _check_layers(self, decode_caches, chunks) -> None:
         """Run every layer's :meth:`~repro.quant.kvcache.KVCache.check_write`
-        before the first layer writes: ``decode_caches`` are per-sequence
-        lists of per-layer caches taking one token, ``chunks`` are
-        ``(caches, t, final)``.  A tick whose caches pool at one layer
-        but not at another raises before any cache changes.  (Layer 0's
-        ``write_layer`` runs the same check itself before it writes.)"""
+        once, before the first layer writes: ``decode_caches`` are
+        per-sequence lists of per-layer caches taking one token,
+        ``chunks`` are ``(caches, t, final)``.  A tick whose caches pool
+        at one layer but not at another raises before any cache
+        changes, and each layer then writes with
+        :meth:`~repro.quant.kvcache.KVCache.write_checked`, which does
+        not check again."""
         cfg = self.config
         geom = (cfg.n_heads, cfg.d_head)
-        for i in range(1, cfg.n_layers):
+        for i in range(cfg.n_layers):
             layer = [caches[i] for caches in decode_caches]
             writes = [(caches[i], (cfg.n_heads, t, cfg.d_head), final)
                       for caches, t, final in chunks]
@@ -435,9 +437,8 @@ class TransformerLM:
             qh, kh = self._rope(L.apply_rope_at, qh, kh, positions)  # (B, H, 1, dh)
             layer_caches = [caches[i] for caches in caches_per_seq]
             with _NULL_CTX if trace is None else trace("append"):
-                type(layer_caches[0]).append_batch(
-                    layer_caches, kh[:, :, 0, :], vh[:, :, 0, :]
-                )
+                type(layer_caches[0]).write_checked(
+                    layer_caches, kh[:, :, 0, :], vh[:, :, 0, :], [])
             att = [
                 L.cached_attention_fwd(qh[b], cache.keys(), cache.values(),
                                        offset=int(positions[b]))
@@ -484,11 +485,11 @@ class TransformerLM:
         :func:`~repro.model.layers.cached_attention_fwd` seam.  Each
         layer's cache writes — decode rows appended, chunk segments
         extended as ``prefill_chunk`` — are one
-        :meth:`~repro.quant.kvcache.KVCache.write_layer` call, which
-        every cache class pools into one K and one V quantize.  Every
-        segment is validated, at every layer, before any cache is
-        written; segments whose caches differ in class or quantization
-        config at any layer raise ``ValueError``.  ``trace`` is
+        :meth:`~repro.quant.kvcache.KVCache.write_checked` call, which
+        every cache class pools into one K and one V quantize and one
+        store.  Every segment is validated, at every layer, once,
+        before any cache is written; segments whose caches differ in
+        class or quantization config at any layer raise ``ValueError``.  ``trace`` is
         :meth:`decode_step_batch`'s span factory.
 
         Returns one entry per segment: last-position logits ``(V,)``
@@ -562,7 +563,7 @@ class TransformerLM:
                            seg.kind == MixedSegment.CHUNK_FINAL)
                           for seg, s, e in chunks]
                 first = layer_caches[0] if layer_caches else writes[0][0]
-                type(first).write_layer(
+                type(first).write_checked(
                     layer_caches,
                     kh[:, rows, :].transpose(1, 0, 2),
                     vh[:, rows, :].transpose(1, 0, 2),

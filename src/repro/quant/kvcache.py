@@ -49,19 +49,24 @@ tokens selected from their streaming statistics, concatenated into one
 :meth:`~repro.core.codec.MantCodec.qdq_ids` call), each a single level
 gather; no per-group coefficient array is built.  Quantization
 groups are row-independent, so the pooled result is byte-equal to
-per-cache writes.  The decode rows are stored with one
-``append_rows`` call per K/V role — on paged buffers one page scatter
-for all rows, their slots reserved in cache order — and the per-cache
-streaming state and chunk writes keep the per-cache order, so page
-allocation is that of per-cache writes.  For every class,
-``prefill_chunk``, ``append`` and ``append_batch`` are that same writer
-with one segment, and ``prefill`` is one final chunk on an emptied
-cache.
+per-cache writes.  Every row of the tick — one token per decode cache,
+then each chunk's, in cache order — is then stored with one
+``store`` call over the caches' buffers (on paged buffers each page
+reserved once for K and V together, in that order, then one store per
+slab), after every quantize and before any per-cache state changes: a
+write that raises, whether a quantize or a pool running dry, changes
+no cache.  Page allocation is that of per-cache writes.  A caller that
+has validated the tick itself (the model's forwards check every layer
+once) writes with :meth:`KVCache.write_checked`.  For every class,
+``prefill_chunk``, ``append`` and ``append_batch`` are
+:meth:`KVCache.write_layer` with one segment, and ``prefill`` is one
+final chunk on an emptied cache.
 
-Storage is a preallocated ``(heads, capacity, d_head)`` buffer per
-tensor with amortized doubling (Anda-style grouped layout): appends are
-O(1) amortized and ``keys()``/``values()`` return zero-copy views, so a
-T-token generation costs O(T) cache work instead of the O(T²) a
+Each cache owns one token buffer holding its K and V: a preallocated
+``(2, heads, capacity, d_head)`` array with amortized doubling
+(Anda-style grouped layout), so stores are O(1) amortized and
+``keys()``/``values()`` return zero-copy views, and a T-token
+generation costs O(T) cache work instead of the O(T²) a
 concatenate-per-read layout pays.  Returned views are *read-only*,
 alias the cache's storage and are only valid until the next write
 — consume them (or copy) before mutating the cache, which is exactly
@@ -81,6 +86,8 @@ channel maxima the staging scales are fixed from.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,29 +126,12 @@ def _exact_dtype(levels) -> type:
     return np.float32 if exact else np.float64
 
 
-def _promote_token_block(block: np.ndarray, heads: int, d_head: int) -> np.ndarray:
-    """Normalize an append block to ``(heads, t, d_head)``, validating shape.
-
-    The single place the token-storage geometry contract lives, shared
-    by :class:`TokenBuffer` and the paged token buffers so the
-    standalone and pooled paths cannot drift apart.
-    """
-    if block.ndim == 2:
-        block = block[:, None, :]
-    if block.shape[0] != heads or block.shape[-1] != d_head:
-        raise ValueError(
-            f"token block (n_heads, d_head)=({block.shape[0]}, "
-            f"{block.shape[-1]}) does not match this buffer's "
-            f"({heads}, {d_head})"
-        )
-    return block
-
-
 class TokenBuffer:
-    """Preallocated ``(heads, capacity, d_head)`` token storage.
+    """Preallocated K and V token storage of one cache: one
+    ``(2, heads, capacity, d_head)`` array, K at ``[0]`` and V at ``[1]``.
 
-    Capacity doubles when exhausted (amortized O(1) appends) and
-    :meth:`view` / :meth:`tail` return zero-copy slices of the live
+    Capacity doubles when exhausted (amortized O(1) stores) and
+    :meth:`keys` / :meth:`values` return zero-copy slices of the live
     region, which is what makes per-decode-step cache reads O(1).
     """
 
@@ -149,7 +139,7 @@ class TokenBuffer:
 
     def __init__(self, heads: int, d_head: int, capacity: int = 16,
                  dtype=np.float64):
-        self._buf = np.empty((heads, max(1, capacity), d_head), dtype=dtype)
+        self._buf = np.empty((2, heads, max(1, capacity), d_head), dtype=dtype)
         self._len = 0
 
     def __len__(self) -> int:
@@ -157,61 +147,67 @@ class TokenBuffer:
 
     @property
     def heads(self) -> int:
-        return self._buf.shape[0]
+        return self._buf.shape[1]
 
     @property
     def d_head(self) -> int:
-        return self._buf.shape[2]
+        return self._buf.shape[3]
 
     def _reserve(self, extra: int) -> None:
         need = self._len + extra
-        cap = self._buf.shape[1]
+        cap = self._buf.shape[2]
         if need <= cap:
             return
-        heads, _, d_head = self._buf.shape
-        grown = np.empty((heads, max(need, 2 * cap), d_head), dtype=self._buf.dtype)
-        grown[:, : self._len] = self._buf[:, : self._len]
+        _, heads, _, d_head = self._buf.shape
+        grown = np.empty((2, heads, max(need, 2 * cap), d_head), dtype=self._buf.dtype)
+        grown[:, :, : self._len] = self._buf[:, :, : self._len]
         self._buf = grown
 
-    def append(self, block: np.ndarray) -> None:
-        """Append ``(heads, d_head)`` or ``(heads, t, d_head)`` tokens."""
-        block = _promote_token_block(block, self.heads, self.d_head)
-        t = block.shape[1]
-        self._reserve(t)
-        self._buf[:, self._len : self._len + t] = block
-        self._len += t
-
     @classmethod
-    def append_rows(cls, buffers: list, rows: np.ndarray) -> None:
-        """Append one token to each of ``buffers`` (``rows`` is
-        ``(B, heads, d_head)``, row ``b`` for buffer ``b``).  Each buffer
-        owns its own array, so this is one append per buffer; the paged
-        buffers store all rows of a call with one scatter."""
-        for buf, row in zip(buffers, rows):
-            buf.append(row)
+    def store(cls, buffers: list, counts: list, k: np.ndarray, v: np.ndarray) -> None:
+        """Append ``counts[i]`` tokens to ``buffers[i]``: ``k``/``v`` are
+        ``(heads, sum(counts), d_head)``, buffer ``i``'s tokens after
+        buffer ``i - 1``'s.  Every buffer grows before the first store.
+        Each buffer owns its array, so each role is one slice store per
+        buffer; the paged buffers store every token with one store per
+        slab."""
+        for buf, n in zip(buffers, counts):
+            buf._reserve(n)
+        off = 0
+        for buf, n in zip(buffers, counts):
+            end = buf._len + n
+            buf._buf[0, :, buf._len : end] = k[:, off : off + n]
+            buf._buf[1, :, buf._len : end] = v[:, off : off + n]
+            buf._len = end
+            off += n
 
-    def view(self) -> np.ndarray:
-        """Zero-copy ``(heads, len, d_head)`` view of all live tokens.
+    def _live(self, role: int) -> np.ndarray:
+        # Read-only: the seed returned freshly concatenated arrays, so
+        # callers mutating the result in place were harmless; a writable
+        # view here would let them silently corrupt the cache history.
+        out = self._buf[role, :, : self._len]
+        out.flags.writeable = False
+        return out
 
-        Read-only: the seed returned freshly concatenated arrays, so
-        callers mutating the result in place were harmless; a writable
-        view here would let them silently corrupt the cache history.
-        """
-        v = self._buf[:, : self._len]
-        v.flags.writeable = False
-        return v
+    def keys(self) -> np.ndarray:
+        """Zero-copy read-only ``(heads, len, d_head)`` view of every K."""
+        return self._live(0)
 
-    def tail(self, n: int) -> np.ndarray:
-        """Zero-copy writable view of the last ``n`` tokens."""
+    def values(self) -> np.ndarray:
+        """Zero-copy read-only ``(heads, len, d_head)`` view of every V."""
+        return self._live(1)
+
+    def values_tail(self, n: int) -> np.ndarray:
+        """Zero-copy writable view of the last ``n`` tokens' V."""
         if n > self._len:
             raise ValueError(f"tail({n}) exceeds buffer length {self._len}")
-        return self._buf[:, self._len - n : self._len]
+        return self._buf[1, :, self._len - n : self._len]
 
-    def recent(self, n: int) -> np.ndarray:
-        """Zero-copy read-only view of the last ``n`` tokens."""
-        v = self.tail(n)
-        v.flags.writeable = False
-        return v
+    def values_recent(self, n: int) -> np.ndarray:
+        """Zero-copy read-only view of the last ``n`` tokens' V."""
+        out = self.values_tail(n)
+        out.flags.writeable = False
+        return out
 
 
 class KVCache:
@@ -246,11 +242,32 @@ class KVCache:
         see :func:`repro.serve.paging.validate_block_compat`); the final
         chunk may be ragged.
 
-        The whole write is validated before any cache changes: caches
-        that do not share one class and quantization config raise
-        ``ValueError``.
+        The whole write is validated before any cache changes (the
+        arrays' shapes, then :meth:`check_write`): caches that do not
+        share one class and quantization config raise ``ValueError``.
+        Then :meth:`write_checked` writes it.
         """
-        raise NotImplementedError
+        if not decode_caches and not chunks:
+            return
+        first = decode_caches[0] if decode_caches else chunks[0][0]
+        geom = None
+        if decode_caches:
+            k_dec, v_dec = np.asarray(k_dec), np.asarray(v_dec)
+            if k_dec.ndim != 3 or len(k_dec) != len(decode_caches):
+                raise ValueError(
+                    "k_t must be one token shaped (n_heads, d_head) per decode "
+                    f"cache, got {k_dec.shape} for {len(decode_caches)} caches"
+                )
+            if v_dec.shape != k_dec.shape:
+                raise ValueError(
+                    f"v_t shape {v_dec.shape[1:]} does not match k_t's {k_dec.shape[1:]}")
+            geom = k_dec.shape[1:]
+        type(first).check_write(
+            decode_caches,
+            [(c, _chunk_shape(np.asarray(k), np.asarray(v)), final)
+             for c, k, v, final in chunks],
+            geom)
+        type(first).write_checked(decode_caches, k_dec, v_dec, chunks)
 
     @classmethod
     def check_write(cls, decode_caches: list, chunks: list, geom) -> None:
@@ -258,7 +275,16 @@ class KVCache:
         before any K/V exist: ``decode_caches`` each taking one
         ``geom`` = ``(n_heads, d_head)`` token, ``chunks`` a list of
         ``(cache, (n_heads, t, d_head), final)``.  A forward checks
-        every layer with it before its first layer writes."""
+        every layer with it once, before its first layer writes."""
+        raise NotImplementedError
+
+    @classmethod
+    def write_checked(cls, decode_caches: list, k_dec, v_dec, chunks: list) -> None:
+        """:meth:`write_layer` without its checks, for a write whose
+        arrays are shaped as it requires and whose caches passed
+        :meth:`check_write`.  It stores every row of the write with one
+        buffer store and raises before that store or not at all, so a
+        write that raises changes no cache."""
         raise NotImplementedError
 
     def prefill_chunk(self, k: np.ndarray, v: np.ndarray, final: bool = False) -> None:
@@ -328,61 +354,37 @@ def _chunk_shape(k: np.ndarray, v: np.ndarray) -> tuple:
     return k.shape
 
 
-def _check_write(decode_caches: list, k_dec, v_dec, chunks: list):
-    """Validate a whole :meth:`KVCache.write_layer` before any cache
-    changes; returns its first cache and its arrays as float64.
-
-    The decode block must be one ``(n_heads, d_head)`` token per decode
-    cache and every chunk a matching K/V pair; the caches must then
-    pass :meth:`KVCache.check_write`.
-    """
-    first = decode_caches[0] if decode_caches else chunks[0][0]
-    geom = None
-    if decode_caches:
-        k_dec = np.asarray(k_dec, dtype=np.float64)
-        v_dec = np.asarray(v_dec, dtype=np.float64)
-        if k_dec.ndim != 3 or len(k_dec) != len(decode_caches):
-            raise ValueError(
-                "k_t must be one token shaped (n_heads, d_head) per decode "
-                f"cache, got {k_dec.shape} for {len(decode_caches)} caches"
-            )
-        if v_dec.shape != k_dec.shape:
-            raise ValueError(
-                f"v_t shape {v_dec.shape[1:]} does not match k_t's {k_dec.shape[1:]}")
-        geom = k_dec.shape[1:]
-    chunks = [
-        (c, np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64), final)
-        for c, k, v, final in chunks
-    ]
-    type(first).check_write(
-        decode_caches, [(c, _chunk_shape(k, v), final) for c, k, v, final in chunks],
-        geom)
-    return first, k_dec, v_dec, chunks
+def _packed(block, chunks: list, role: int) -> np.ndarray:
+    """Every K (``role`` 1) or V (``role`` 2) token a write stores, as
+    one ``(n_heads, tokens, d_head)`` float64 array: the decode block's
+    (one token per decode cache), then each chunk's."""
+    parts = [] if block is None else [np.asarray(block).transpose(1, 0, 2)]
+    parts += [seg[role] for seg in chunks]
+    if len(parts) == 1:
+        return np.ascontiguousarray(parts[0], dtype=np.float64)
+    return np.concatenate(parts, axis=1, dtype=np.float64)
 
 
-def _append_rows(caches: list, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-    """Store one ``(heads, d_head)`` K and V row per cache: one
-    ``append_rows`` call per role for all of them, so paged buffers
-    write each role with one page scatter."""
-    k_bufs = [c._k for c in caches]
-    type(k_bufs[0]).append_rows(k_bufs, k_rows)
-    v_bufs = [c._v for c in caches]
-    type(v_bufs[0]).append_rows(v_bufs, v_rows)
-
-
-def _pooled_rows(block, chunks: list, role: int, d_head: int) -> np.ndarray:
-    """Every K (``role`` 1) or V (``role`` 2) row a write stores, as one
-    ``(rows, d_head)`` array: the decode block's, then each chunk's."""
-    parts = [] if block is None else [block.reshape(-1, d_head)]
-    parts += [seg[role].reshape(-1, d_head) for seg in chunks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _store(decode_caches: list, chunks: list, k: np.ndarray, v: np.ndarray) -> None:
+    """Store a write's packed ``(n_heads, tokens, d_head)`` K and V rows
+    — one token per decode cache, then each chunk's — with one store
+    call over every cache's buffer.  A fresh cache's buffer is made
+    here and kept only once the store has succeeded."""
+    caches = [*decode_caches, *(seg[0] for seg in chunks)]
+    counts = [1] * len(decode_caches) + [seg[1].shape[1] for seg in chunks]
+    heads, _, d_head = k.shape
+    bufs = [c._buf if c._buf is not None else c._new_buffer(heads, d_head, max(16, n))
+            for c, n in zip(caches, counts)]
+    type(bufs[0]).store(bufs, counts, k, v)
+    for c, buf in zip(caches, bufs):
+        c._buf = buf
 
 
 class _BufferedKVCache(KVCache):
     """Buffer plumbing, plus the pooled write of caches that quantize
     per token (groups along ``d_head``): subclasses define ``_q``.
 
-    ``storage_dtype`` is the float width the K/V buffers store: the
+    ``storage_dtype`` is the float width the K/V buffer stores: the
     narrowest that holds every value the cache writes exactly (see the
     module docstring), float64 unless a subclass proves less suffices.
     Readers widen to float64 before any arithmetic.
@@ -391,56 +393,48 @@ class _BufferedKVCache(KVCache):
     storage_dtype = np.float64
 
     def __init__(self):
-        self._k: TokenBuffer | None = None
-        self._v: TokenBuffer | None = None
+        self._buf: TokenBuffer | None = None
         self._buffer_factory = None
 
     def bind_buffer_factory(self, factory) -> None:
         """Route buffer allocation through a pool (see
         :class:`repro.serve.paging.BlockPool`).
 
-        ``factory(role, heads, d_head, capacity, dtype)`` must return a
-        :class:`TokenBuffer`-compatible object storing ``dtype`` (the
-        cache's :attr:`storage_dtype`) for ``role`` in ``("k", "v")``.
-        Must be bound before the cache holds data.
+        ``factory(heads, d_head, capacity, dtype)`` must return a
+        :class:`TokenBuffer`-compatible object storing this cache's K
+        and V at ``dtype`` (its :attr:`storage_dtype`).  Must be bound
+        before the cache holds data.
         """
-        if self._k is not None:
+        if self._buf is not None:
             raise RuntimeError("cannot rebind buffers on a cache already holding data")
         self._buffer_factory = factory
 
-    def _reset_buffers(self, heads: int, d_head: int, capacity: int) -> None:
-        dtype = self.storage_dtype
-        if self._buffer_factory is None:
-            self._k = TokenBuffer(heads, d_head, capacity, dtype)
-            self._v = TokenBuffer(heads, d_head, capacity, dtype)
-        else:
-            self._k = self._buffer_factory("k", heads, d_head, capacity, dtype)
-            self._v = self._buffer_factory("v", heads, d_head, capacity, dtype)
+    def _new_buffer(self, heads: int, d_head: int, capacity: int):
+        make = self._buffer_factory or TokenBuffer
+        return make(heads, d_head, capacity, self.storage_dtype)
 
     def adopt_prefix(self, n_tokens, heads, d_head, state):
-        if self._k is not None or self._buffer_factory is None:
+        if self._buf is not None or self._buffer_factory is None:
             raise RuntimeError(
                 "adopt_prefix needs an empty cache over pooled pages")
-        self._reset_buffers(heads, d_head, n_tokens)
-        self._k.adopt(n_tokens)
-        self._v.adopt(n_tokens)
+        self._buf = self._new_buffer(heads, d_head, n_tokens)
+        self._buf.adopt(n_tokens)
 
     def prefill(self, k: np.ndarray, v: np.ndarray) -> None:
         """Whole-prompt prefill of ``(n_heads, seq, d_head)``: the cache
         emptied, then one final chunk.  The prompt must match the
         ``(n_heads, d_head)`` the cache holds, and a prefill that raises
         leaves the cache as it was (the write changes nothing before
-        its first store)."""
+        its store)."""
         # The base class's check: MANT's own also rejects a chunk after
         # a completed prefill, which is what a new prefill replaces.
         _BufferedKVCache._check_chunk(
             self, _chunk_shape(np.asarray(k), np.asarray(v)), True)
-        old = self._k, self._v
-        self._k = self._v = None
+        old, self._buf = self._buf, None
         try:
             self.prefill_chunk(k, v, final=True)
         except BaseException:
-            self._k, self._v = old
+            self._buf = old
             raise
 
     def _q(self, x: np.ndarray) -> np.ndarray:
@@ -455,7 +449,7 @@ class _BufferedKVCache(KVCache):
     def _check_decode(self, geom) -> None:
         """Reject a decode token of ``geom`` = ``(n_heads, d_head)`` this
         cache cannot take, before any write."""
-        buf = self._k
+        buf = self._buf
         if buf is not None and (buf.heads, buf.d_head) != geom:
             raise ValueError(
                 f"k_t shape {geom} does not match this cache's established "
@@ -465,18 +459,19 @@ class _BufferedKVCache(KVCache):
     def _check_chunk(self, shape, final: bool) -> None:
         """Reject a prefill chunk of ``shape`` = ``(n_heads, t, d_head)``
         this cache cannot take, before any write."""
-        if self._k is not None and (shape[0], shape[2]) != (
-                self._k.heads, self._k.d_head):
+        buf = self._buf
+        if buf is not None and (shape[0], shape[2]) != (buf.heads, buf.d_head):
             raise ValueError(
                 f"prefill chunk (n_heads, d_head)=({shape[0]}, "
                 f"{shape[2]}) does not match this cache's "
-                f"({self._k.heads}, {self._k.d_head})"
+                f"({buf.heads}, {buf.d_head})"
             )
 
     @classmethod
     def check_write(cls, decode_caches, chunks, geom):
         """Every cache must pool with the first (same class and config)
-        and take its token or chunk in its established geometry."""
+        and take its token or chunk in its established geometry, and
+        every segment must share one ``(n_heads, d_head)``."""
         first = decode_caches[0] if decode_caches else chunks[0][0]
         for c in decode_caches:
             if c is not first and not first._pools_with(c):
@@ -485,48 +480,37 @@ class _BufferedKVCache(KVCache):
         for c, shape, final in chunks:
             if c is not first and not first._pools_with(c):
                 raise _unpoolable(type(first), type(c))
+            if geom is None:
+                geom = (shape[0], shape[2])
+            elif (shape[0], shape[2]) != tuple(geom):
+                raise ValueError(
+                    f"prefill chunk (n_heads, d_head)=({shape[0]}, {shape[2]}) "
+                    f"differs from the write's {tuple(geom)}: one write_layer "
+                    "call stores one geometry")
             c._check_chunk(shape, final)
 
     @classmethod
-    def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
+    def write_checked(cls, decode_caches, k_dec, v_dec, chunks):
         """One ``_q`` over every K row written this tick (decode rows and
-        chunk tokens alike), one over every V row, then the stores: the
-        decode rows with one ``append_rows`` per role (one page scatter
-        on paged buffers), then each chunk's appends in order.  Groups
-        run along ``d_head``, so the pooled rows quantize exactly as
-        per-cache writes do."""
-        if not decode_caches and not chunks:
-            return
-        first, k_dec, v_dec, chunks = _check_write(decode_caches, k_dec, v_dec, chunks)
-        d_head = (k_dec if decode_caches else chunks[0][1]).shape[-1]
-        kq = first._q(_pooled_rows(k_dec, chunks, 1, d_head))
-        vq = first._q(_pooled_rows(v_dec, chunks, 2, d_head))
-        off = 0
-        if decode_caches:
-            n_dec, heads = k_dec.shape[:2]
-            for c in decode_caches:
-                if c._k is None:
-                    c._reset_buffers(heads, d_head, 16)
-            off = n_dec * heads
-            _append_rows(decode_caches, kq[:off].reshape(n_dec, heads, d_head),
-                         vq[:off].reshape(n_dec, heads, d_head))
-        for c, k, _, _ in chunks:
-            heads, t, _ = k.shape
-            if c._k is None:
-                c._reset_buffers(heads, d_head, t)
-            c._k.append(kq[off:off + heads * t].reshape(heads, t, d_head))
-            c._v.append(vq[off:off + heads * t].reshape(heads, t, d_head))
-            off += heads * t
+        chunk tokens alike), one over every V row, then one store of
+        every row.  Groups run along ``d_head``, so the pooled rows
+        quantize exactly as per-cache writes do."""
+        first = decode_caches[0] if decode_caches else chunks[0][0]
+        k, v = _packed(k_dec, chunks, 1), _packed(v_dec, chunks, 2)
+        d_head = k.shape[-1]
+        _store(decode_caches, chunks,
+               first._q(k.reshape(-1, d_head)).reshape(k.shape),
+               first._q(v.reshape(-1, d_head)).reshape(v.shape))
 
     def keys(self) -> np.ndarray:
-        return self._k.view() if self._k is not None else _EMPTY
+        return self._buf.keys() if self._buf is not None else _EMPTY
 
     def values(self) -> np.ndarray:
-        return self._v.view() if self._v is not None else _EMPTY
+        return self._buf.values() if self._buf is not None else _EMPTY
 
     @property
     def seq_len(self) -> int:
-        return len(self._k) if self._k is not None else 0
+        return len(self._buf) if self._buf is not None else 0
 
 
 class FP16KVCache(_BufferedKVCache):
@@ -577,6 +561,19 @@ class IntKVCache(_BufferedKVCache):
                 and other.group_size == self.group_size)
 
 
+@lru_cache(maxsize=None)
+def _mant_storage_dtype(bits: int, a_candidates: tuple, include_int: bool,
+                        staging_bits: int) -> type:
+    """:attr:`MantKVCache.storage_dtype` of one configuration, computed
+    once (serving builds a cache per sequence and layer).  Stored values
+    are levels of the selector's candidate grids (K rows, final V
+    windows; fitting only narrows the set) or INT staging levels, times
+    fp16 scales."""
+    coeffs = a_candidates + ((INT_A,) if include_int else ())
+    return _exact_dtype([grid_tables(a, bits).grid for a in coeffs]
+                        + [IntType(staging_bits).qmax])
+
+
 def _fp16_scale(ch_max: np.ndarray, itype: IntType) -> np.ndarray:
     """Channel staging scales ``ch_max / qmax``, stored as fp16 (Fig. 8)."""
     return _fp16_nonzero(ch_max / itype.qmax)
@@ -625,12 +622,8 @@ class MantKVCache(_BufferedKVCache):
         # Channel-wise INT8 staging scales, fixed at prefill (Fig. 8).
         self._stage_scale: np.ndarray | None = None  # (heads, d_head)
         self._int8 = IntType(staging_bits)
-        # Stored values: levels of the selector's candidate grids (K
-        # rows, final V windows; fitting only narrows the set) or INT
-        # staging levels, times fp16 scales.
-        coeffs = self.selector.a_candidates + ((INT_A,) if self.selector.include_int else ())
-        self.storage_dtype = _exact_dtype(
-            [grid_tables(a, bits).grid for a in coeffs] + [self._int8.qmax])
+        self.storage_dtype = _mant_storage_dtype(
+            bits, self.selector.a_candidates, self.selector.include_int, staging_bits)
         # Channel maxima accumulated across prefill chunks; non-None
         # exactly while a chunked prefill is in flight.
         self._chunk_ch_max: np.ndarray | None = None
@@ -669,7 +662,7 @@ class MantKVCache(_BufferedKVCache):
 
     def _check_decode(self, geom) -> None:
         super()._check_decode(geom)
-        if self._chunk_ch_max is not None and self._k is not None:
+        if self._chunk_ch_max is not None and self._buf is not None:
             raise RuntimeError(
                 "append during an unfinished chunked prefill — feed "
                 "the last chunk with prefill_chunk(..., final=True) first"
@@ -677,7 +670,7 @@ class MantKVCache(_BufferedKVCache):
 
     def _check_chunk(self, shape, final: bool) -> None:
         super()._check_chunk(shape, final)
-        if self._k is not None and self._chunk_ch_max is None:
+        if self._buf is not None and self._chunk_ch_max is None:
             raise RuntimeError(
                 "prefill_chunk on a cache whose prefill already completed")
         t = shape[1]
@@ -721,14 +714,14 @@ class MantKVCache(_BufferedKVCache):
         self._win_max = None
 
     @classmethod
-    def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
+    def write_checked(cls, decode_caches, k_dec, v_dec, chunks):
         """One layer's KV writes for a tick, quantized in pooled calls.
 
         Group-wise quantization is row-independent, so pooling is
-        bit-identical to per-cache writes.  Every write is validated
-        and every quantize of the tick runs before the first storage
-        write, so a rejected or overflowing write changes no cache.
-        Across all caches of the layer:
+        bit-identical to per-cache writes.  Every quantize of the tick
+        runs before the one store, and every cache's own state changes
+        after it, so an overflowing write (or a pool that runs dry)
+        changes no cache.  Across all caches of the layer:
 
         * one :meth:`~repro.core.codec.MantCodec.select_qdq` over every
           K row written (the decode rows and every chunk's tokens —
@@ -745,7 +738,7 @@ class MantKVCache(_BufferedKVCache):
           data; full prompt windows skip staging, both inner-dimension
           data being available), its absmax taken from the rows.  A
           closing window's rows are its staged rows, read through the
-          read-only :meth:`values` view, plus the new staged row.
+          buffer's read-only ``values_recent``, plus the new staged row.
 
         Chunked prefill: K rows and full V windows are quantized per
         token / per window (chunk-composition invariant by
@@ -756,32 +749,32 @@ class MantKVCache(_BufferedKVCache):
         remainder enters staging.  A decode row on an empty cache
         bootstraps its staging scales from its own first vector.
 
-        Storage follows :meth:`KVCache.write_layer`'s order: the decode
-        rows' K rows, then their staged V rows, each role one
-        ``append_rows`` over every decode cache (one page scatter on
-        paged buffers, slots reserved in cache order), then each closed
-        window rewritten in place, then each chunk's K, full V windows
-        and staged remainder; so page allocation and copy-on-write
-        clones are those of per-segment writes.  Accumulators and
-        staging scales stay per cache.
+        Storage follows :meth:`KVCache.write_layer`'s order: one store
+        of every K and V row — each decode row's K and staged V, then
+        each chunk's K and V (full windows, then the staged remainder)
+        — then each closed window's V rewritten in place in the same
+        buffer; so page allocation and copy-on-write clones are those
+        of per-segment writes.  Accumulators and staging scales stay
+        per cache.
         """
-        if not decode_caches and not chunks:
-            return
-        first, k_dec, v_dec, chunks = _check_write(decode_caches, k_dec, v_dec, chunks)
+        first = decode_caches[0] if decode_caches else chunks[0][0]
         window = first.window
         n_dec = len(decode_caches)
-        d_head = (k_dec if n_dec else chunks[0][1]).shape[-1]
 
         # -- every quantize of the tick, before any cache changes ----
-        kq = first._q(_pooled_rows(k_dec, chunks, 1, d_head))
-        heads = k_dec.shape[1] if n_dec else 0
-        rows, closing = [], []
+        k = _packed(k_dec, chunks, 1)
+        heads, _, d_head = k.shape
+        kq = first._q(k.reshape(-1, d_head)).reshape(k.shape)
+        chunks = [(c, kc, np.asarray(v, dtype=np.float64), final)
+                  for c, kc, v, final in chunks]
+        rows, closing, v_parts = [], [], []
         if n_dec:
+            v_dec = np.asarray(v_dec, dtype=np.float64)
             # Decode on an empty cache bootstraps its staging scales
             # from its first vector, fp16-rounded like the prefill path
             # (Fig. 8 stores 16-bit channel scales however the cache
             # started).
-            boot = [c._k is None for c in decode_caches]
+            boot = [c._buf is None for c in decode_caches]
             # (np.concatenate: np.stack costs ~0.6 us more per row.)
             scales = np.concatenate([
                 _fp16_scale(np.where(np.abs(v_t) <= 0, 1.0, np.abs(v_t)), c._int8)
@@ -789,9 +782,10 @@ class MantKVCache(_BufferedKVCache):
                 for c, v_t, b in zip(decode_caches, v_dec, boot)
             ]).reshape(v_dec.shape)
             vq = first._int8.qdq(v_dec, scales)
+            v_parts.append(vq.transpose(1, 0, 2))
             # One token's window stats (Σv, Σv², max|v|) for every row.
             v_sq, v_abs = v_dec * v_dec, np.abs(v_dec)
-            closes = [(0 if fresh else len(c._v) - c._v_final) == window - 1
+            closes = [(0 if fresh else len(c._buf) - c._v_final) == window - 1
                       for c, fresh in zip(decode_caches, boot)]
             closing = [b for b, shut in enumerate(closes) if shut]
             for b in closing:
@@ -800,26 +794,26 @@ class MantKVCache(_BufferedKVCache):
                     # The window's staged rows: the open window's page,
                     # widened to float64 with the new row.
                     win = np.concatenate(
-                        [decode_caches[b]._v.recent(window - 1), win], axis=1,
-                        dtype=np.float64)
+                        [decode_caches[b]._buf.values_recent(window - 1), win],
+                        axis=1, dtype=np.float64)
                 rows.append(np.moveaxis(win, 1, -1).reshape(-1, window))
         # Per chunk: its running channel maxima at each full window's
         # end, at its end, and the staging scales a final chunk fixes.
         plans = []
         for c, _, v, final in chunks:
-            heads_c, t, _ = v.shape
+            t = v.shape[1]
             v_abs_c = np.abs(v)
             full = (t // window) * window
-            ch_max = (np.zeros((heads_c, d_head)) if c._k is None
-                      else c._chunk_ch_max)
+            fresh = c._buf is None
+            ch_max = np.zeros((heads, d_head)) if fresh else c._chunk_ch_max
             w_max = None
             if full:
                 w_max = v_abs_c[:, :full].reshape(
-                    heads_c, full // window, window, d_head).max(axis=2)
+                    heads, full // window, window, d_head).max(axis=2)
                 np.maximum(w_max[:, 0], ch_max, out=w_max[:, 0])
                 np.maximum.accumulate(w_max, axis=1, out=w_max)
                 ch_max = w_max[:, -1].copy()
-                w = v[:, :full].reshape(heads_c, full // window, window, d_head)
+                w = v[:, :full].reshape(heads, full // window, window, d_head)
                 rows.append(np.moveaxis(w, 2, -1).reshape(-1, window))
             if full < t:
                 ch_max = np.maximum(ch_max, v_abs_c[:, full:].max(axis=1))
@@ -828,13 +822,14 @@ class MantKVCache(_BufferedKVCache):
                 scale = _fp16_scale(np.where(ch_max <= 0, 1.0, ch_max), c._int8)
                 if full < t:
                     staged = c._int8.qdq(v[:, full:], scale[:, None, :])
-            plans.append((w_max, ch_max, scale, staged))
+            plans.append((fresh, w_max, ch_max, scale, staged))
+        off = 0
         if rows:
             # (n_windows·channels, 1, window): one group per row.
             groups = np.concatenate(rows)[:, None, :]
             amax = _group_absmax(groups)
             base = _scale_base(amax)
-            n_close = len(closing) * heads * d_head
+            off = len(closing) * heads * d_head
             ids = []
             if closing:
                 # Closing windows select from their streaming stats (a
@@ -852,29 +847,38 @@ class MantKVCache(_BufferedKVCache):
                 acc_max = np.where(acc_max <= 0, 1.0, acc_max)
                 norm_var = np.clip(var, 0.0, None) / (acc_max * acc_max)
                 ids.append(first.selector.variance_ids(norm_var).reshape(-1, 1))
-            if n_close < len(groups):
+            if off < len(groups):
                 # ... prompt windows from their data.
-                ids.append(first.selector.batch_ids(groups[n_close:], base[n_close:]))
+                ids.append(first.selector.batch_ids(groups[off:], base[off:]))
             vout = first._codec.qdq_ids(
                 groups, amax, first.selector, np.concatenate(ids), base
             ).reshape(-1, window)
+        # Each chunk's V: its full windows, then its staged remainder.
+        for _, w_max, _, _, staged in plans:
+            if w_max is not None:
+                n_win = w_max.shape[1]
+                out = vout[off:off + heads * n_win * d_head]
+                off += out.shape[0]
+                v_parts.append(np.moveaxis(
+                    out.reshape(heads, n_win, d_head, window), -1, 2
+                ).reshape(heads, n_win * window, d_head))
+            if staged is not None:
+                v_parts.append(staged)
 
-        # -- decode rows: K rows, staged V rows, closed windows in place
+        _store(decode_caches, chunks, kq, v_parts[0] if len(v_parts) == 1
+               else np.concatenate(v_parts, axis=1))
+
+        # -- per-cache state: decode rows, closed windows in place ----
+        off = 0
         for b, c in enumerate(decode_caches):
             if boot[b]:
                 c._stage_scale = scales[b]
                 c._chunk_ch_max = None
-                c._reset_buffers(heads, d_head, 16)
                 c._v_final = 0
                 c._reset_window(heads, d_head)
-        if n_dec:
-            _append_rows(decode_caches,
-                         kq[:n_dec * heads].reshape(n_dec, heads, d_head), vq)
-        off = 0
-        for b, c in enumerate(decode_caches):
             if closes[b]:
                 out = vout[off:off + heads * d_head].reshape(heads, d_head, window)
-                c._v.tail(window)[:] = np.moveaxis(out, -1, 1)
+                c._buf.values_tail(window)[:] = np.moveaxis(out, -1, 1)
                 off += heads * d_head
                 c._v_final += window
                 c._reset_window(heads, d_head)
@@ -883,41 +887,29 @@ class MantKVCache(_BufferedKVCache):
                 c._acc_sqsum += v_sq[b]
                 np.maximum(c._acc_max, v_abs[b], out=c._acc_max)
 
-        # -- chunks: K rows, full V windows, staged remainder --------
-        k_off = n_dec * heads
-        for (c, k, v, final), (w_max, ch_max, scale, staged) in zip(chunks, plans):
-            heads_c, t, _ = v.shape
-            if c._k is None:
-                c._reset_buffers(heads_c, d_head, t)
+        # -- chunks: window history, staging scales, remainder stats --
+        for (c, _, v, final), (fresh, w_max, ch_max, scale, staged) in zip(chunks, plans):
+            if fresh:
                 c._v_final = 0
-                c._reset_window(heads_c, d_head)
+                c._reset_window(heads, d_head)
                 c._win_max = []
-            c._k.append(kq[k_off:k_off + heads_c * t].reshape(heads_c, t, d_head))
-            k_off += heads_c * t
-            full = (t // window) * window
-            if full:
+            if w_max is not None:
                 c._win_max.extend(w_max.transpose(1, 0, 2))
-                out = vout[off:off + heads_c * (full // window) * d_head]
-                off += out.shape[0]
-                c._v.append(np.moveaxis(
-                    out.reshape(heads_c, full // window, d_head, window), -1, 2
-                ).reshape(heads_c, full, d_head))
-                c._v_final += full
+                c._v_final += w_max.shape[1] * window
             c._chunk_ch_max = None if final else ch_max
             if final:
                 c._stage_scale = scale
-                if full < t:
-                    # The sub-window remainder enters INT8 staging and
-                    # opens the first window's streaming stats.
-                    rest = v[:, full:, :]
-                    c._v.append(staged)
-                    c._acc_sum += rest.sum(axis=1)
-                    c._acc_sqsum += (rest * rest).sum(axis=1)
-                    c._acc_max = np.maximum(c._acc_max, np.max(np.abs(rest), axis=1))
+            if staged is not None:
+                # The sub-window remainder entered INT8 staging and
+                # opens the first window's streaming stats.
+                rest = v[:, v.shape[1] - staged.shape[1]:, :]
+                c._acc_sum += rest.sum(axis=1)
+                c._acc_sqsum += (rest * rest).sum(axis=1)
+                c._acc_max = np.maximum(c._acc_max, np.max(np.abs(rest), axis=1))
 
     # ------------------------------------------------------------------
     @property
     def staging_fill(self) -> int:
         """Tokens currently held at INT8 (for tests/analysis)."""
-        return len(self._v) - self._v_final if self._v is not None else 0
+        return len(self._buf) - self._v_final if self._buf is not None else 0
 

@@ -9,6 +9,14 @@ uses vLLM/mlc-llm-style paging instead:
   one shared ``(heads, num_blocks, block_tokens, d_head)`` slab per
   (layer, K/V-role), at the caches' storage width (float32 for the
   MANT/INT caches, whose values it holds exactly; float64 for FP16).
+  K and V stay separate slabs rather than one ``(2, ...)`` array per
+  layer: numpy advises transparent huge pages for arrays of 4 MiB and
+  more, and under the common ``madvise`` THP mode a touched huge page
+  is 2 MiB of resident memory however little of it is used (eight
+  4 MiB arrays touched once per 256 KiB grew RSS by 16.2 MiB, eight
+  2 MiB arrays by 0.3 MiB).  The benchmark's 2 MiB float32 K and V
+  slabs stay under that threshold; float64 FP16 pools' 4 MiB slabs
+  already get the advice.
   A *block id* names the same row in every slab, so one logical page
   table per sequence covers all layers.  Blocks are
   ref-counted and recycled through a free list; blocks whose content is
@@ -18,12 +26,14 @@ uses vLLM/mlc-llm-style paging instead:
   waves.
 * **PageTable / PagedTokenBuffer** — per-sequence mapping of logical
   page index to block id, plus a :class:`~repro.quant.kvcache.TokenBuffer`-
-  compatible facade over it.  A layer's decode rows are stored with one
-  page scatter per K/V role (:meth:`PagedTokenBuffer.append_rows`):
-  each sequence's slot is reserved in turn (page allocation and
-  copy-on-write as one append would do them), then one fancy-indexed
-  store writes every row.  The page layout stays in this module; the
-  caches only hand over rows.  The existing FP16/INT4/MANT4 cache
+  compatible facade over it holding one sequence's K and V at one
+  layer.  Every row a layer writes in a tick is stored with one
+  :meth:`PagedTokenBuffer.store`: each sequence's pages are reserved
+  in turn, once for K and V together (page allocation and
+  copy-on-write as per-sequence appends would do them), then one
+  fancy-indexed store per slab writes every row.  The page layout
+  stays in this module; the caches only hand over rows.  The existing
+  FP16/INT4/MANT4 cache
   classes are reused *unchanged* via ``bind_buffer_factory``, which is
   what makes the paged quantization math bit-identical to the flat
   caches: M-ANT's group-wise scheme quantizes each page independently
@@ -81,13 +91,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.quant.kvcache import (
-    KVCache,
-    MantKVCache,
-    _BufferedKVCache,
-    _promote_token_block,
-    _unpoolable,
-)
+from repro.quant.kvcache import KVCache, MantKVCache, _BufferedKVCache, _unpoolable
 
 __all__ = [
     "PoolExhausted",
@@ -481,15 +485,14 @@ class BlockPool:
         return slab
 
     def _buffer_factory(self, lease: "PagedLease", layer: int):
-        def make(role: str, heads: int, d_head: int, capacity: int,
-                 dtype) -> PagedTokenBuffer:
+        def make(heads: int, d_head: int, capacity: int, dtype) -> PagedTokenBuffer:
             # `capacity` is a contiguous-buffer concept; pages are
             # allocated on demand at first write instead.
-            slab = self._get_slab(layer, role, heads, d_head, dtype)
-            return PagedTokenBuffer(
-                self, lease.table, slab, self._flats[(layer, role)],
-                sealed=lease.sealed_tokens,
-            )
+            slabs = tuple(self._get_slab(layer, role, heads, d_head, dtype)
+                          for role in ("k", "v"))
+            flats = (self._flats[(layer, "k")], self._flats[(layer, "v")])
+            return PagedTokenBuffer(self, lease.table, slabs, flats,
+                                    sealed=lease.sealed_tokens)
 
         return make
 
@@ -568,24 +571,25 @@ class PageTable:
 
 class PagedTokenBuffer:
     """:class:`~repro.quant.kvcache.TokenBuffer`-compatible facade over
-    non-contiguous pool pages.
+    non-contiguous pool pages: one sequence's K and V at one layer, in
+    that layer's K and V slabs.
 
     ``sealed`` positions are the pages a prefix-cache match attached:
     they already hold the donor's content and are never written.  A
     sequence that skips their compute starts at :meth:`adopt`; the
     pages it runs anyway (the last matched page when the whole prompt
     matched, since its last token must run for the first-token logits)
-    are appended over, which advances the length without a store.
+    are stored over: the store advances the length and writes nothing.
     """
 
-    __slots__ = ("_pool", "_table", "_slab", "_flat", "_len", "_sealed")
+    __slots__ = ("_pool", "_table", "_slabs", "_flats", "_len", "_sealed")
 
-    def __init__(self, pool: BlockPool, table: PageTable, slab: np.ndarray,
-                 flat: np.ndarray, sealed: int = 0):
+    def __init__(self, pool: BlockPool, table: PageTable, slabs: tuple,
+                 flats: tuple, sealed: int = 0):
         self._pool = pool
         self._table = table
-        self._slab = slab
-        self._flat = flat
+        self._slabs = slabs        # the layer's (K, V) slabs
+        self._flats = flats        # their (heads, num_blocks·bt, d_head) aliases
         self._len = 0
         self._sealed = sealed
 
@@ -594,69 +598,62 @@ class PagedTokenBuffer:
 
     @property
     def heads(self) -> int:
-        return self._slab.shape[0]
+        return self._slabs[0].shape[0]
 
     @property
     def d_head(self) -> int:
-        return self._slab.shape[3]
-
-    def append(self, block: np.ndarray) -> None:
-        block = _promote_token_block(block, self.heads, self.d_head)
-        t = block.shape[1]
-        bt = self._pool.block_tokens
-        if self._len < self._sealed:
-            skip = min(t, self._sealed - self._len)
-            self._len += skip
-            block = block[:, skip:]
-            t -= skip
-        i = 0
-        while i < t:
-            page, off = divmod(self._len, bt)
-            chunk = min(t - i, bt - off)
-            self._table.ensure_tokens(self._len + chunk)
-            bid = self._table.writable_block(page)
-            self._slab[:, bid, off : off + chunk, :] = block[:, i : i + chunk, :]
-            self._len += chunk
-            i += chunk
+        return self._slabs[0].shape[3]
 
     @classmethod
-    def append_rows(cls, buffers: list, rows: np.ndarray) -> None:
-        """Append one token to each of ``buffers`` (``rows`` is
-        ``(B, heads, d_head)``, row ``b`` for buffer ``b``) with one
-        store.  The buffers share one slab (one pool, layer and role).
+    def store(cls, buffers: list, counts: list, k: np.ndarray, v: np.ndarray) -> None:
+        """Append ``counts[i]`` tokens to ``buffers[i]`` (``k``/``v`` are
+        ``(heads, sum(counts), d_head)``, buffer ``i``'s tokens after
+        buffer ``i - 1``'s) with one store per slab.  The buffers share
+        one pool layer's slabs.
 
-        Slots are reserved in list order — a page allocated when the
-        token opens one, a shared page copy-on-write cloned — as
-        successive :meth:`append` calls would, so allocation order,
-        block ids and clones are theirs.  A token over a sealed page
-        advances the length without a store, as :meth:`append` does.
-        Lengths advance after the store: a reservation that raises (the
-        pool exhausted) stores nothing and leaves every length as it
-        was.
+        Each buffer's pages are reserved in list order, page by page,
+        once for both roles — a page allocated when a token opens one,
+        a shared page copy-on-write cloned — as appending each buffer's
+        tokens in turn would, so allocation order, block ids and clones
+        are theirs.  Tokens over sealed pages advance the length without
+        a store.  The stores and lengths come after every reservation: a
+        reservation that raises (the pool exhausted) stores nothing and
+        leaves every length as it was.
         """
-        slab = buffers[0]._slab
-        if rows.shape[1:] != (slab.shape[0], slab.shape[3]):
-            raise ValueError(
-                f"token rows (n_heads, d_head)={rows.shape[1:]} do not match "
-                f"this buffer's ({slab.shape[0]}, {slab.shape[3]})")
-        if not all(buf._slab is slab for buf in buffers):
-            raise ValueError("append_rows buffers must share one slab "
-                             "(one pool, layer and role)")
-        bt = slab.shape[2]
-        stored, slots = [], []     # slot: position in the flat alias
-        for b, buf in enumerate(buffers):
-            n = buf._len
-            if n >= buf._sealed:
-                page, off = divmod(n, bt)
-                if off == 0:
-                    buf._table.ensure_tokens(n + 1)
-                slots.append(buf._table.writable_block(page) * bt + off)
-                stored.append(b)
-        if len(stored) < len(buffers):
-            rows = rows[stored]
-        buffers[0]._flat[:, np.array(slots, dtype=np.intp)] = rows.transpose(1, 0, 2)
-        for buf in buffers:
-            buf._len += 1
+        k_flat, v_flat = buffers[0]._flats
+        if not all(buf._flats[0] is k_flat for buf in buffers):
+            raise ValueError("store buffers must share one pool layer's slabs")
+        bt = buffers[0]._pool.block_tokens
+        slots, sealed = [], []    # slot: position in the flat aliases
+        pos = 0
+        for buf, n in zip(buffers, counts):
+            start, end = buf._len, buf._len + n
+            if start < buf._sealed:
+                sealed.append((pos, pos + min(n, buf._sealed - start)))
+                start = min(end, buf._sealed)
+            pos += n
+            table = buf._table
+            while start < end:
+                page, off = divmod(start, bt)
+                if not off:
+                    table.ensure_tokens(start + 1)
+                slot = table.writable_block(page) * bt + off
+                if end - start == 1:       # one token (a decode row)
+                    slots.append(slot)
+                    break
+                stop = min(end, start - off + bt)
+                slots.extend(range(slot, slot + stop - start))
+                start = stop
+        if sealed:
+            keep = np.ones(pos, dtype=bool)
+            for lo, hi in sealed:
+                keep[lo:hi] = False
+            k, v = k[:, keep], v[:, keep]
+        slots = np.array(slots, dtype=np.intp)
+        k_flat[:, slots] = k
+        v_flat[:, slots] = v
+        for buf, n in zip(buffers, counts):
+            buf._len += n
 
     def adopt(self, n: int) -> None:
         """Take the first ``n`` sealed tokens as written, storing nothing."""
@@ -665,15 +662,19 @@ class PagedTokenBuffer:
                              f"{self._sealed} sealed")
         self._len = n
 
-    def view(self) -> "PagedView":
-        """Lazy read-only view over the live pages.
+    def keys(self) -> "PagedView":
+        """Lazy read-only view over the live pages' K.
 
         Materialization (and the contiguous zero-copy fast path) lives
         in :meth:`PagedView.gather`, which the attention layer invokes;
         like all cache views it is only valid until the next mutation
         through any facade of the same table.
         """
-        return PagedView(self._slab, self._flat, self._table, self._len)
+        return PagedView(self._slabs[0], self._flats[0], self._table, self._len)
+
+    def values(self) -> "PagedView":
+        """As :meth:`keys`, over the V slab."""
+        return PagedView(self._slabs[1], self._flats[1], self._table, self._len)
 
     def _last_tokens(self, n: int) -> tuple[int, int]:
         """``(page, offset)`` of the last ``n`` tokens, which must lie in
@@ -689,30 +690,34 @@ class PagedTokenBuffer:
             )
         return page, off
 
-    def tail(self, n: int) -> np.ndarray:
-        """Writable view of the last ``n`` tokens (single page only).
+    def values_tail(self, n: int) -> np.ndarray:
+        """Writable view of the last ``n`` tokens' V (single page only).
 
-        The MANT V-cache finalizes ``window``-sized regions in place;
-        with ``block_tokens`` a multiple of the window that region
-        always lands inside one page, so a direct writable slab slice
-        (after copy-on-write) preserves the flat-cache semantics.
+        The MANT V cache rewrites a closing window in place right after
+        the store of its last token, which reserved (copy-on-write) the
+        page; with ``block_tokens`` a multiple of the window the region
+        lies inside that page, so a direct slab slice preserves the
+        flat-cache semantics.  A page still shared raises.
         """
         page, off = self._last_tokens(n)
-        bid = self._table.writable_block(page)
-        return self._slab[:, bid, off : off + n, :]
+        bid = self._table.blocks[page]
+        if self._pool._ref[bid] > 1:
+            raise RuntimeError(f"page {page} is shared: store into it before "
+                               "rewriting it in place")
+        return self._slabs[1][:, bid, off : off + n, :]
 
-    def recent(self, n: int) -> np.ndarray:
-        """Read-only view of the last ``n`` tokens (single page only, as
-        :meth:`tail`, but a read: no copy-on-write).  The MANT V cache
-        reads a closing window's staged rows with it."""
+    def values_recent(self, n: int) -> np.ndarray:
+        """Read-only view of the last ``n`` tokens' V (single page only,
+        as :meth:`values_tail`, but a read of any page).  The MANT V
+        cache reads a closing window's staged rows with it."""
         page, off = self._last_tokens(n)
-        out = self._slab[:, self._table.blocks[page], off : off + n, :]
+        out = self._slabs[1][:, self._table.blocks[page], off : off + n, :]
         out.flags.writeable = False
         return out
 
     def clone_for(self, table: PageTable) -> "PagedTokenBuffer":
         """Same-length facade over a forked sequence's page table."""
-        clone = PagedTokenBuffer(self._pool, table, self._slab, self._flat,
+        clone = PagedTokenBuffer(self._pool, table, self._slabs, self._flats,
                                  sealed=self._sealed)
         clone._len = self._len
         return clone
@@ -845,13 +850,11 @@ class PagedKVCache(KVCache):
             geom)
 
     @classmethod
-    def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
-        inners = cls._inners(decode_caches)
-        chunk_inners = cls._inners([c for c, _, _, _ in chunks])
-        type((inners or chunk_inners)[0]).write_layer(
-            inners, k_dec, v_dec,
-            [(c, k, v, final) for c, (_, k, v, final) in zip(chunk_inners, chunks)],
-        )
+    def write_checked(cls, decode_caches, k_dec, v_dec, chunks):
+        inners = [c.inner for c in decode_caches]
+        chunks = [(c.inner, k, v, final) for c, k, v, final in chunks]
+        first = inners[0] if inners else chunks[0][0]
+        type(first).write_checked(inners, k_dec, v_dec, chunks)
 
     def __getattr__(self, name):
         if name in ("inner", "table"):
@@ -985,10 +988,8 @@ class PagedLease:
         clone._matched_pages = self._matched_pages
         for layer, cache in enumerate(self.caches):
             inner = copy.copy(cache.inner)
-            for role in ("_k", "_v"):
-                buf = getattr(inner, role)
-                if buf is not None:
-                    setattr(inner, role, buf.clone_for(table))
+            if inner._buf is not None:
+                inner._buf = inner._buf.clone_for(table)
             # Mutable quantizer state (MANT streaming window stats,
             # staging scales, mid-prefill chunk maxima) must not alias
             # the parent's.

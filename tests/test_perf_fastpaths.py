@@ -382,31 +382,39 @@ class TestBufferedKVEquivalence:
 
 class TestTokenBuffer:
     def test_growth_preserves_contents(self, rng):
-        buf = TokenBuffer(2, 4, capacity=2)
-        chunks = [rng.normal(size=(2, 4)) for _ in range(37)]
-        for c in chunks:
-            buf.append(c)
-        assert len(buf) == 37
-        np.testing.assert_array_equal(buf.view(), np.stack(chunks, axis=1))
+        """One store call appends to several buffers, each growing past
+        its capacity, K and V each in their own half."""
+        bufs = [TokenBuffer(2, 4, capacity=2), TokenBuffer(2, 4, capacity=2)]
+        ks = [rng.normal(size=(2, 2, 4)) for _ in range(37)]
+        for k in ks:
+            TokenBuffer.store(bufs, [1, 1], k, -k)
+        for b, buf in enumerate(bufs):
+            assert len(buf) == 37
+            want = np.stack([k[:, b] for k in ks], axis=1)
+            np.testing.assert_array_equal(buf.keys(), want)
+            np.testing.assert_array_equal(buf.values(), -want)
 
-    def test_block_append_and_tail(self, rng):
+    def test_block_store_and_tail(self, rng):
         buf = TokenBuffer(3, 5, capacity=1)
         block = rng.normal(size=(3, 10, 5))
-        buf.append(block)
-        np.testing.assert_array_equal(buf.tail(4), block[:, -4:])
+        TokenBuffer.store([buf], [10], 2 * block, block)
+        np.testing.assert_array_equal(buf.values_tail(4), block[:, -4:])
 
     def test_tail_writes_through(self, rng):
         buf = TokenBuffer(1, 2, capacity=8)
-        buf.append(rng.normal(size=(1, 6, 2)))
-        buf.tail(2)[:] = 7.0
-        assert np.all(buf.view()[:, -2:] == 7.0)
-        assert not np.any(buf.view()[:, :-2] == 7.0)
+        block = rng.normal(size=(1, 6, 2))
+        TokenBuffer.store([buf], [6], block, block)
+        buf.values_tail(2)[:] = 7.0
+        assert np.all(buf.values()[:, -2:] == 7.0)
+        assert not np.any(buf.values()[:, :-2] == 7.0)
+        np.testing.assert_array_equal(buf.keys(), block)
 
     def test_tail_beyond_length_rejected(self, rng):
         buf = TokenBuffer(1, 2, capacity=8)
-        buf.append(rng.normal(size=(1, 3, 2)))
+        block = rng.normal(size=(1, 3, 2))
+        TokenBuffer.store([buf], [3], block, block)
         with pytest.raises(ValueError):
-            buf.tail(5)
+            buf.values_tail(5)
 
 
 # ----------------------------------------------------------------------

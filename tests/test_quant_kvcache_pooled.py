@@ -11,8 +11,11 @@ properties pinned here:
   logits — including a window closing mid-tick, a decode row opening a
   page, fork siblings sharing their last page, ragged final chunks and
   prefix-sealed paged chunks;
-* a layer's decode rows are stored with one ``append_rows`` per K/V
-  role, whatever their number;
+* every row a layer writes in a tick is stored with one buffer
+  ``store`` call, each page of each buffer reserved once for both
+  roles, and a pool that runs dry in that reservation leaves every
+  cache as it was;
+* a forward runs every layer's ``check_write`` once;
 * a MANT decode cache with no staging scales yet bootstraps them inside
   the pooled write as a per-cache append does;
 * the quantize and select calls per layer do not grow with the number
@@ -29,8 +32,10 @@ import pytest
 from repro.core.codec import MantCodec
 from repro.core.selection import VarianceSelector
 from repro.model.transformer import MixedSegment
-from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache, TokenBuffer
-from repro.serve.paging import BlockPool, PagedKVCache, PagedTokenBuffer
+from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache, _BufferedKVCache
+from repro.serve.paging import (
+    BlockPool, PagedKVCache, PagedTokenBuffer, PageTable, PoolExhausted,
+)
 
 WINDOW = 32
 
@@ -124,8 +129,7 @@ class TestPooledEqualsPerSegment:
 
         # Reference: the per-segment writes — the inner class's
         # one-segment append_batch per decode row, then one
-        # prefill_chunk per chunk, in pack order — with each decode row
-        # stored by the buffer's own single-token append.
+        # prefill_chunk per chunk, in pack order — each its own store.
         def per_segment(cls, decode_caches, k_dec, v_dec, chunks):
             for b, cache in enumerate(decode_caches):
                 type(cache.inner).append_batch(
@@ -133,9 +137,7 @@ class TestPooledEqualsPerSegment:
             for cache, k, v, final in chunks:
                 cache.inner.prefill_chunk(k, v, final=final)
 
-        monkeypatch.setattr(PagedKVCache, "write_layer", classmethod(per_segment))
-        monkeypatch.setattr(PagedTokenBuffer, "append_rows",
-                            classmethod(TokenBuffer.append_rows.__func__))
+        monkeypatch.setattr(PagedKVCache, "write_checked", classmethod(per_segment))
         pool_b, leases_b, segs_b = build_tick(model, FACTORIES[name])
         per_segment = model.forward_mixed(segs_b)
 
@@ -204,42 +206,99 @@ def test_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
-def test_decode_rows_store_with_one_scatter_per_role(unit_model, monkeypatch, name):
-    """Decode rows make no per-row ``PagedTokenBuffer.append``: each
-    layer stores them with one ``append_rows`` per K/V role, whatever
-    the number of rows."""
+def test_one_store_per_layer_tick(unit_model, monkeypatch, name):
+    """Every row a layer writes in a mixed tick — decode rows, then
+    prompt chunks, in cache order — goes through one
+    ``PagedTokenBuffer.store`` call."""
     model, _ = unit_model
-    n_layers = model.config.n_layers
-    calls = {"append": 0, "append_rows": []}
-    append, append_rows = PagedTokenBuffer.append, PagedTokenBuffer.append_rows.__func__
+    _, _, segs = build_tick(model, FACTORIES[name])
+    calls = []
+    store = PagedTokenBuffer.store.__func__
 
-    def counting_append(self, block):
-        calls["append"] += 1
-        return append(self, block)
+    def counting(cls, buffers, counts, k, v):
+        calls.append(counts)
+        return store(cls, buffers, counts, k, v)
 
-    def counting_append_rows(cls, buffers, rows):
-        calls["append_rows"].append(len(buffers))
-        return append_rows(cls, buffers, rows)
+    monkeypatch.setattr(PagedTokenBuffer, "store", classmethod(counting))
+    model.forward_mixed(segs)
+    assert calls == [[seg.ids.size for seg in segs]] * model.config.n_layers
 
-    rng = np.random.default_rng(3)
-    for n_rows in (1, 6):
-        pool = BlockPool(n_layers=n_layers, block_tokens=WINDOW, num_blocks=64)
-        leases = []
-        for n in rng.integers(5, 100, size=n_rows):
-            lease = pool.acquire(FACTORIES[name])
-            model.prefill(rng.integers(0, model.config.vocab_size, size=n),
-                          lease.caches)
-            leases.append(lease)
-        segs = [MixedSegment([1], lease.caches, lease.caches[0].seq_len,
-                             MixedSegment.DECODE) for lease in leases]
-        with monkeypatch.context() as m:
-            m.setattr(PagedTokenBuffer, "append", counting_append)
-            m.setattr(PagedTokenBuffer, "append_rows",
-                      classmethod(counting_append_rows))
-            calls["append"], calls["append_rows"] = 0, []
-            model.forward_mixed(segs)
-        assert calls["append"] == 0
-        assert calls["append_rows"] == [n_rows] * (2 * n_layers)
+
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_one_page_reservation_per_buffer(unit_model, monkeypatch, name):
+    """A layer write calls ``PageTable.writable_block`` once per page
+    each buffer writes, for K and V together (and a MANT window closing
+    in place reserves nothing more)."""
+    model, _ = unit_model
+    pool, leases, segs = build_tick(model, FACTORIES[name])
+    bt = pool.block_tokens
+    pages = sum(
+        len(range(max(seg.offset, lease.sealed_tokens) // bt,
+                  -(-(seg.offset + seg.ids.size) // bt)))
+        for seg, lease in zip(segs, leases))
+    assert pages == 6 + 2 + 2 + 1        # decode rows, fresh, ragged, sealed
+    calls = [0]
+    writable_block = PageTable.writable_block
+
+    def counting(self, page):
+        calls[0] += 1
+        return writable_block(self, page)
+
+    monkeypatch.setattr(PageTable, "writable_block", counting)
+    model.forward_mixed(segs)
+    assert calls[0] == pages * model.config.n_layers
+
+
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_pool_exhausted_mid_tick_changes_no_cache(unit_model, name):
+    """A tick whose store runs the pool dry — a decode row, then a
+    two-page non-final chunk on a pool with one free block — raises
+    ``PoolExhausted`` before it stores anything: every cache keeps its
+    K/V lengths and bytes (the decode row is not stored, and the chunk
+    is not left with K tokens but no V tokens)."""
+    model, _ = unit_model
+    n_layers, vocab = model.config.n_layers, model.config.vocab_size
+    pool = BlockPool(n_layers=n_layers, block_tokens=WINDOW, num_blocks=3,
+                     enable_prefix_cache=False)
+    a = pool.acquire(FACTORIES[name])
+    model.prefill(np.arange(40) % vocab, a.caches)
+    b = pool.acquire(FACTORIES[name])
+    assert pool.blocks_available == 1
+    before = [cache_state(c) for c in a.caches + b.caches]
+    segs = [MixedSegment([3], a.caches, 40, MixedSegment.DECODE),
+            MixedSegment(np.arange(2 * WINDOW) % vocab, b.caches, 0,
+                         MixedSegment.CHUNK)]
+    with pytest.raises(PoolExhausted):
+        model.forward_mixed(segs)
+    for c in a.caches + b.caches:
+        assert np.asarray(c.keys()).shape[1] == np.asarray(c.values()).shape[1]
+    assert [c.seq_len for c in a.caches] == [40] * n_layers
+    assert [c.seq_len for c in b.caches] == [0] * n_layers
+    assert [cache_state(c) for c in a.caches + b.caches] == before
+    pool.check_integrity()
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_check_write_runs_once_per_layer(unit_model, monkeypatch, batched):
+    """A forward validates each layer once: ``check_write`` runs
+    ``n_layers`` times, not again inside each layer's write."""
+    model, _ = unit_model
+    pool, leases, segs = build_tick(model)
+    calls = [0]
+    check_write = _BufferedKVCache.check_write.__func__
+
+    def counting(cls, decode_caches, chunks, geom):
+        calls[0] += 1
+        return check_write(cls, decode_caches, chunks, geom)
+
+    monkeypatch.setattr(_BufferedKVCache, "check_write", classmethod(counting))
+    if batched:
+        decoders = leases[:6]
+        model.decode_step_batch([1] * len(decoders), [lz.caches for lz in decoders],
+                                [lz.caches[0].seq_len for lz in decoders])
+    else:
+        model.forward_mixed(segs)
+    assert calls[0] == model.config.n_layers
 
 
 def test_int_quantize_calls_do_not_grow_with_segments(unit_model, monkeypatch):
@@ -359,6 +418,22 @@ class TestRejectBeforeAnyWrite:
         with pytest.raises(ValueError, match="disagrees with the cache length"):
             model.forward_mixed([MixedSegment([3], a, 40, MixedSegment.DECODE)])
         assert [cache_state(c) for c in a] == before
+
+    def test_mixed_geometry_rejected(self):
+        """One write stores one ``(n_heads, d_head)``: a fresh cache's
+        chunk with another head count raises before the decode row is
+        written."""
+        rng = np.random.default_rng(2)
+        a = mant()
+        a.prefill(*rng.normal(size=(2, 2, 40, 32)))
+        before = cache_state(a)
+        k_dec, v_dec = rng.normal(size=(2, 1, 2, 32))
+        k, v = rng.normal(size=(2, 3, WINDOW, 32))
+        b = mant()
+        with pytest.raises(ValueError, match="one geometry"):
+            MantKVCache.write_layer([a], k_dec, v_dec, [(b, k, v, True)])
+        assert cache_state(a) == before
+        assert b.seq_len == 0
 
     @pytest.mark.parametrize("final, t, at", [
         (False, 2 * WINDOW, 5),     # a full window's MANT scale overflows

@@ -243,18 +243,19 @@ class TestPagedReads:
         lease = pool.acquire(lambda: MantKVCache(group_size=32, window=32))
         lease.caches[0].prefill(*rng.standard_normal((2, 2, 63, 32)))
         fork = lease.fork()
-        buf = fork.caches[0].inner._v
-        staged = buf.recent(31)
+        buf = fork.caches[0].inner._buf
+        staged = buf.values_recent(31)
         assert not staged.flags.writeable and pool.cow_copies == 0
         assert staged.tobytes() == np.asarray(lease.caches[0].values())[:, 32:].tobytes()
         with pytest.raises(ValueError, match="span a page boundary"):
-            buf.recent(33)
+            buf.values_recent(33)
         fork.caches[0].append(*rng.standard_normal((2, 2, 32)))
         assert pool.cow_copies == 1 and fork.caches[0].staging_fill == 0
 
     def test_token_buffer_recent_is_read_only(self):
         buf = TokenBuffer(1, 2, capacity=4, dtype=np.float32)
-        buf.append(np.arange(6.0).reshape(1, 3, 2))
-        tail = buf.recent(2)
+        v = np.arange(6.0).reshape(1, 3, 2)
+        TokenBuffer.store([buf], [3], -v, v)
+        tail = buf.values_recent(2)
         assert tail.dtype == np.float32 and not tail.flags.writeable
         assert tail.tolist() == [[[2.0, 3.0], [4.0, 5.0]]]

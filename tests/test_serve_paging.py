@@ -158,7 +158,7 @@ class TestPagedCacheEquivalence:
         cache = lease.caches[0]
         drive(cache, np.random.default_rng(8), seq=12, extra=0)
         with pytest.raises(ValueError, match="page boundary"):
-            cache.inner._k.tail(6)                # [6, 12) straddles page 0/1
+            cache.inner._buf.values_tail(6)       # [6, 12) straddles page 0/1
 
 
 # ======================================================================

@@ -190,9 +190,9 @@ def raw_v(model, ids):
 
     class Probe(FP16KVCache):
         @classmethod
-        def write_layer(cls, decode_caches, k_dec, v_dec, chunks):
+        def write_checked(cls, decode_caches, k_dec, v_dec, chunks):
             captured.extend(np.array(v) for _, _, v, _ in chunks)
-            super().write_layer(decode_caches, k_dec, v_dec, chunks)
+            super().write_checked(decode_caches, k_dec, v_dec, chunks)
 
     caches = [Probe()] + [FP16KVCache() for _ in range(model.config.n_layers - 1)]
     for s in range(0, ids.size, BT):

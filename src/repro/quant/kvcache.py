@@ -79,6 +79,9 @@ pages, with hash-based prompt-prefix sharing and copy-on-write.  Every
 cache class here runs unchanged over either a private
 :class:`TokenBuffer` or pages — the quantization math never sees the
 layout, which is what makes paged caches bit-identical to flat ones.
+A pool's lease holds these caches themselves, and copies one for a
+forked sequence with :meth:`_BufferedKVCache.fork`; one write takes
+caches that all store over pages or none that do.
 A cache over pages can also start part-way into a prompt whose first
 pages another sequence wrote (:meth:`KVCache.adopt_prefix`), taking
 that writer's :meth:`KVCache.prefix_state` — for MANT, the running V
@@ -87,6 +90,7 @@ channel maxima the staging scales are fixed from.
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -338,8 +342,8 @@ class KVCache:
 def _unpoolable(first: type, other: type) -> ValueError:
     return ValueError(
         f"cannot write a {other.__name__} in one write_layer call with a "
-        f"{first.__name__}: a pooled write takes caches of one class and "
-        "one quantization config"
+        f"{first.__name__}: a pooled write takes caches of one class, one "
+        "quantization config and one storage (all over pool pages or none)"
     )
 
 
@@ -443,8 +447,24 @@ class _BufferedKVCache(KVCache):
 
     def _pools_with(self, other) -> bool:
         """True when ``other``'s writes can share this cache's
-        quantization calls (same class and config)."""
-        return type(other) is type(self)
+        quantization calls (same class and config) and its store: both
+        store through a buffer factory (pool pages) or neither does."""
+        return (type(other) is type(self)
+                and (other._buffer_factory is None) == (self._buffer_factory is None))
+
+    def fork(self, buffer_factory, buf) -> "_BufferedKVCache":
+        """A copy of this cache that stores through ``buffer_factory``
+        and holds ``buf``, a copy of this cache's buffer (``None`` while
+        it holds none).  Its array and list state is copied, so neither
+        cache's later writes reach the other's; the quantization config
+        is shared."""
+        clone = copy.copy(self)
+        for name, val in list(vars(clone).items()):
+            if isinstance(val, (np.ndarray, list)):
+                setattr(clone, name, val.copy())
+        clone._buf = buf
+        clone._buffer_factory = buffer_factory
+        return clone
 
     def _check_decode(self, geom) -> None:
         """Reject a decode token of ``geom`` = ``(n_heads, d_head)`` this
@@ -553,12 +573,18 @@ class IntKVCache(_BufferedKVCache):
         self.storage_dtype = _exact_dtype([2 ** (bits - 1) - 1])
 
     def _q(self, x: np.ndarray) -> np.ndarray:
-        g = min(self.group_size, x.shape[-1])
-        return GroupQuantizer(IntType(self.bits), Granularity.GROUP, g).qdq(x)
+        return _int_quantizer(self.bits, min(self.group_size, x.shape[-1])).qdq(x)
 
     def _pools_with(self, other) -> bool:
-        return (type(other) is type(self) and other.bits == self.bits
+        return (super()._pools_with(other) and other.bits == self.bits
                 and other.group_size == self.group_size)
+
+
+@lru_cache(maxsize=None)
+def _int_quantizer(bits: int, group_size: int) -> GroupQuantizer:
+    """:class:`IntKVCache`'s row quantizer for one configuration, built
+    once: ``IntType`` derives its grid on construction."""
+    return GroupQuantizer(IntType(bits), Granularity.GROUP, group_size)
 
 
 @lru_cache(maxsize=None)
@@ -643,7 +669,7 @@ class MantKVCache(_BufferedKVCache):
 
     def _pools_with(self, other) -> bool:
         return (
-            type(other) is type(self)
+            super()._pools_with(other)
             and other.selector.same_policy(self.selector)
             and other.bits == self.bits
             and other.group_size == self.group_size

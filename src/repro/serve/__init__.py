@@ -82,7 +82,9 @@ The v2 API is layered:
 
 One storage backend: the paged :class:`~repro.serve.paging.BlockPool`
 (fixed-size ref-counted pages with hash-based prompt-prefix sharing,
-copy-on-write and prefix-aware block admission).  One prefill path:
+copy-on-write and prefix-aware block admission); a lease holds the
+FP16/INT/MANT caches of :mod:`repro.quant.kvcache` themselves, each
+storing its K/V through the lease's pages.  One prefill path:
 admission runs no forward, and every prompt matches the prefix cache
 just before its first chunk (skipping the compute of the pages it
 attaches) and then runs as mixed prefill+decode tick segments.  With
@@ -146,7 +148,6 @@ from repro.serve.observe import (
 from repro.serve.scheduler import QueueFullError, Scheduler
 from repro.serve.paging import (
     BlockPool,
-    PagedKVCache,
     PagedLease,
     PagedTokenBuffer,
     PagedView,
@@ -208,7 +209,6 @@ __all__ = [
     "PageTable",
     "PagedTokenBuffer",
     "PagedView",
-    "PagedKVCache",
     "PagedLease",
     "PoolExhausted",
     "FaultInjector",

@@ -101,12 +101,6 @@ class ServeConfig:
         each retry replays the victim through the preemption recompute
         path; past the budget the sequence finishes with
         ``FINISH_ERROR``.
-    ``check_invariants``
-        Run :meth:`~repro.serve.engine.GenerationEngine.
-        check_invariants` (pool refcounts, lane bookkeeping) at the end
-        of every tick.  The test suite forces this on via the
-        ``REPRO_SERVE_STRICT`` environment variable; production engines
-        leave it off (the check is O(blocks) per tick).
 
     Observability (see :mod:`repro.serve.observe`):
 
@@ -133,7 +127,6 @@ class ServeConfig:
     scheduler_policy: str = "fcfs"
     request_timeout_s: float | None = None
     max_retries: int = 1
-    check_invariants: bool = False
     observe: bool = True
 
     def __post_init__(self):

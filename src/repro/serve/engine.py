@@ -90,6 +90,7 @@ import dataclasses
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +130,11 @@ LATENCY_WINDOW = 4096
 
 # ServeConfig fields that version-1 snapshots written by older engines
 # carry but the config no longer has (the retired contiguous-storage
-# switch and its initial capacity).  restore() drops them, so such a
-# snapshot resumes on pages — token-identical for fp16/int4.
-_RETIRED_CONFIG_KEYS = frozenset({"paged", "initial_cache_capacity"})
+# switch and its initial capacity, and the per-engine strict-mode
+# switch REPRO_SERVE_STRICT=1 replaces).  restore() drops them, so such
+# a snapshot resumes on pages — token-identical for fp16/int4.
+_RETIRED_CONFIG_KEYS = frozenset({"paged", "initial_cache_capacity",
+                                  "check_invariants"})
 
 
 class _Sequence:
@@ -512,13 +515,10 @@ class GenerationEngine:
         # Timeout sweeps cost a pass over queue + running set per tick;
         # skip them entirely until some request actually has a budget.
         self._timeouts_armed = config.request_timeout_s is not None
-        # Strict mode: check_invariants() after every tick.  The test
-        # suite forces it via the environment so every serving test runs
-        # checked; production engines opt in through the config.
-        self._strict = (
-            config.check_invariants
-            or os.environ.get("REPRO_SERVE_STRICT", "") == "1"
-        )
+        # Strict mode: check_invariants() after every tick (O(blocks)).
+        # The test suite sets REPRO_SERVE_STRICT=1 so every serving test
+        # runs checked.
+        self._strict = os.environ.get("REPRO_SERVE_STRICT", "") == "1"
 
     # ------------------------------------------------------------------
     # Clock & observability plumbing
@@ -957,8 +957,9 @@ class GenerationEngine:
         sequence; the chunk set comes from the scheduler's token-budget
         policy (decode tokens are charged against
         ``max_tokens_per_tick`` first).  The engine then checks that
-        the tick's page demands fit the pool — page *allocation* stays
-        on demand inside the cache appends — preempting the
+        the blocks the tick takes (new pages plus copy-on-write clones)
+        fit the pool — page *allocation* stays on demand inside the
+        cache appends — preempting the
         policy-chosen victim (decoding or half-prefilled alike) back to
         the queue until they do, instead of reserving worst-case
         ``prompt + max_tokens`` up front.
@@ -992,6 +993,7 @@ class GenerationEngine:
                           or self._gate(ALLOC, s, events)]
             need = sum(s.lease.new_pages_for(s.pos + 1) for s in decode)
             need += sum(s.lease.new_pages_for(s.cursor.done + n) for s, n in chunks)
+            need += self._cow_clones(decode, chunks)
             if need <= self.pool.blocks_available:
                 return decode, chunks
             victims = [s for s in running if not s.finished]
@@ -1003,6 +1005,19 @@ class GenerationEngine:
                     f"{self.pool.blocks_available} blocks free, {need} needed"
                 )
             self._evict(self.scheduler.policy.choose_preemption_victim(victims))
+
+    def _cow_clones(self, decode: list, chunks: list) -> int:
+        """Blocks the tick's copy-on-write clones take.  Each of the
+        ``w`` writers of a block with ``r`` references clones it while
+        another reference remains, so the block costs ``min(w, r - 1)``
+        clones (fork siblings sharing their last, partial page)."""
+        writers = Counter()
+        for s in decode:
+            writers.update(s.lease.shared_pages_for(s.pos, s.pos + 1))
+        for s, n in chunks:
+            done = s.cursor.done
+            writers.update(s.lease.shared_pages_for(done, done + n))
+        return sum(min(w, self.pool.refcount(b) - 1) for b, w in writers.items())
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -1633,8 +1648,8 @@ class GenerationEngine:
         tables, scheduler lane
         bookkeeping against ``max_batch_size``, and request-id
         registration.  Runs after every tick in strict mode
-        (``ServeConfig.check_invariants`` or ``REPRO_SERVE_STRICT=1`` —
-        the test suite's default); call it at tick boundaries.
+        (``REPRO_SERVE_STRICT=1``, the test suite's default); call it at
+        tick boundaries.
         """
         sched = self.scheduler
         running = sched.running

@@ -32,11 +32,12 @@ uses vLLM/mlc-llm-style paging instead:
   in turn, once for K and V together (page allocation and
   copy-on-write as per-sequence appends would do them), then one
   fancy-indexed store per slab writes every row.  The page layout
-  stays in this module; the caches only hand over rows.  The existing
-  FP16/INT4/MANT4 cache
-  classes are reused *unchanged* via ``bind_buffer_factory``, which is
-  what makes the paged quantization math bit-identical to the flat
-  caches: M-ANT's group-wise scheme quantizes each page independently
+  stays in this module; the caches only hand over rows.  A lease
+  holds the FP16/INT4/MANT4 caches themselves, one per layer, each
+  storing through ``bind_buffer_factory``: nothing wraps them, so
+  their own writes and checks run unchanged, which is what makes the
+  paged quantization math bit-identical to the flat caches: M-ANT's
+  group-wise scheme quantizes each page independently
   as long as ``block_tokens`` is a multiple of the temporal group
   (the V-cache window), so pages can be shared, recycled and gathered
   without touching neighbours.
@@ -85,13 +86,12 @@ Correctness invariants (gated by ``tests/test_serve_paging.py``):
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.quant.kvcache import KVCache, MantKVCache, _BufferedKVCache, _unpoolable
+from repro.quant.kvcache import KVCache, MantKVCache, _BufferedKVCache
 
 __all__ = [
     "PoolExhausted",
@@ -99,7 +99,6 @@ __all__ = [
     "PageTable",
     "PagedTokenBuffer",
     "PagedView",
-    "PagedKVCache",
     "PagedLease",
     "validate_block_compat",
 ]
@@ -498,20 +497,19 @@ class BlockPool:
 
     # ------------------------------------------------------------------
     def acquire(self, cache_factory) -> "PagedLease":
-        """Lease a fresh paged sequence: per-layer caches over one table."""
+        """Lease a fresh paged sequence: per-layer caches storing through
+        one table's pages."""
         lease = PagedLease(self, PageTable(self))
-        caches = []
         for layer in range(self.n_layers):
-            inner = cache_factory()
-            if not isinstance(inner, _BufferedKVCache):
+            cache = cache_factory()
+            if not isinstance(cache, _BufferedKVCache):
                 raise TypeError(
-                    f"cache_factory produced {type(inner).__name__}, which does "
+                    f"cache_factory produced {type(cache).__name__}, which does "
                     "not use the pooled buffer storage"
                 )
-            validate_block_compat(inner, self.block_tokens)
-            inner.bind_buffer_factory(self._buffer_factory(lease, layer))
-            caches.append(PagedKVCache(inner, lease.table))
-        lease.caches = caches
+            validate_block_compat(cache, self.block_tokens)
+            cache.bind_buffer_factory(self._buffer_factory(lease, layer))
+            lease.caches.append(cache)
         self.total_leases += 1
         return lease
 
@@ -778,95 +776,19 @@ class PagedView:
         return np.asarray(arr, dtype=dtype) if dtype is not None else arr
 
 
-class PagedKVCache(KVCache):
-    """The :class:`~repro.quant.kvcache.KVCache` interface over pages.
-
-    Wraps one buffered cache (FP16/INT4/MANT4) whose storage is paged;
-    the quantization math runs entirely in the wrapped class, so the
-    paged cache is bit-identical to the flat one per construction.
-    ``write_layer`` and ``check_write`` unwrap to the inner class, so
-    the pooled quantization path is preserved under paging; a write
-    mixing paged and unpaged caches raises ``ValueError`` before any
-    cache changes.
-    ``prefill``, the cache-specific extras (``staging_fill``,
-    ``window``, ...) and everything else unknown here delegate to the
-    inner cache.
-    """
-
-    def __init__(self, inner: _BufferedKVCache, table: PageTable):
-        self.inner = inner
-        self.table = table
-
-    def prefix_state(self, n_tokens):
-        return self.inner.prefix_state(n_tokens)
-
-    def adopt_prefix(self, n_tokens, heads, d_head, state):
-        self.inner.adopt_prefix(n_tokens, heads, d_head, state)
-
-    def drop_prefix_state(self):
-        self.inner.drop_prefix_state()
-
-    def keys(self):
-        return self.inner.keys()
-
-    def values(self):
-        return self.inner.values()
-
-    @property
-    def seq_len(self) -> int:
-        return self.inner.seq_len
-
-    @property
-    def n_pages(self) -> int:
-        return self.table.n_pages
-
-    @classmethod
-    def _inners(cls, caches: list) -> list:
-        """The wrapped caches of ``caches``, which must all be paged."""
-        inners = [c.inner for c in caches if type(c) is cls]
-        if len(inners) != len(caches):
-            bad = next(c for c in caches if type(c) is not cls)
-            raise _unpoolable(cls, type(bad))
-        return inners
-
-    # Own attributes, not the inherited one-segment calls, because
-    # perfbench/layertrace.py wraps both by name; each calls the inner
-    # class's own one-segment write.
-    def prefill_chunk(self, k, v, final=False):
-        self.inner.prefill_chunk(k, v, final=final)
-
-    @classmethod
-    def append_batch(cls, caches, k_batch, v_batch):
-        inners = cls._inners(caches)
-        type(inners[0]).append_batch(inners, k_batch, v_batch)
-
-    @classmethod
-    def check_write(cls, decode_caches, chunks, geom):
-        inners = cls._inners(decode_caches)
-        chunk_inners = cls._inners([c for c, _, _ in chunks])
-        type((inners or chunk_inners)[0]).check_write(
-            inners, [(c, shape, final)
-                     for c, (_, shape, final) in zip(chunk_inners, chunks)],
-            geom)
-
-    @classmethod
-    def write_checked(cls, decode_caches, k_dec, v_dec, chunks):
-        inners = [c.inner for c in decode_caches]
-        chunks = [(c.inner, k, v, final) for c, k, v, final in chunks]
-        first = inners[0] if inners else chunks[0][0]
-        type(first).write_checked(inners, k_dec, v_dec, chunks)
-
-    def __getattr__(self, name):
-        if name in ("inner", "table"):
-            raise AttributeError(name)
-        return getattr(self.inner, name)
+# The benchmark's traced run (perfbench/run.py --trace 1) wraps
+# ``PagedKVCache.append_batch`` and ``prefill_chunk`` by name.  Lease
+# caches are the quantization caches themselves, which inherit both
+# one-segment writes from KVCache, so the name stays as KVCache's.
+PagedKVCache = KVCache
 
 
 class PagedLease:
     """One sequence's tenancy in a :class:`BlockPool`.
 
-    ``caches`` holds one :class:`PagedKVCache` per model layer, all
-    sharing one :class:`PageTable`.  The prefix-cache protocol is:
+    ``caches`` holds one FP16/INT/MANT cache per model layer, each
+    storing through a :class:`PagedTokenBuffer` over the lease's one
+    :class:`PageTable`.  The prefix-cache protocol is:
     :meth:`match_prefix` once, *before* the prompt's first chunk
     (attaches shared pages and seals them against writes; the engine
     calls it at plan time, not at admission, so pages registered by
@@ -886,7 +808,7 @@ class PagedLease:
     def __init__(self, pool: BlockPool, table: PageTable):
         self.pool = pool
         self.table = table
-        self.caches: list[PagedKVCache] = []
+        self.caches: list[_BufferedKVCache] = []
         self.active = True
         self.sealed_tokens = 0
         self._matched_pages = None
@@ -970,13 +892,22 @@ class PagedLease:
         """Pages still missing to back ``n_tokens`` positions."""
         return max(0, -(-n_tokens // self.pool.block_tokens) - self.table.n_pages)
 
+    def shared_pages_for(self, start: int, end: int) -> list[int]:
+        """Blocks a write of positions ``[start, end)`` would clone
+        now: its unsealed pages already backed and referenced more than
+        once (:meth:`PageTable.writable_block`'s test)."""
+        bt = self.pool.block_tokens
+        pages = self.table.blocks[max(start, self.sealed_tokens) // bt : -(-end // bt)]
+        return [b for b in pages if self.pool.refcount(b) > 1]
+
     def fork(self) -> "PagedLease":
         """Clone this sequence, sharing every page copy-on-write.
 
         The clone gets its own page table (same block ids, ref-count++)
-        and per-layer cache objects with copied scalar/accumulator state
-        over shared storage — the parallel-sampling/beam primitive.  The
-        first divergent write on either side triggers the pool's COW.
+        and per-layer caches, each a :meth:`~repro.quant.kvcache.
+        _BufferedKVCache.fork` of this sequence's over shared storage —
+        the parallel-sampling/beam primitive.  The first divergent write
+        on either side triggers the pool's COW.
         """
         if not self.active:
             raise RuntimeError("cannot fork a released lease")
@@ -987,19 +918,10 @@ class PagedLease:
         clone.sealed_tokens = self.sealed_tokens
         clone._matched_pages = self._matched_pages
         for layer, cache in enumerate(self.caches):
-            inner = copy.copy(cache.inner)
-            if inner._buf is not None:
-                inner._buf = inner._buf.clone_for(table)
-            # Mutable quantizer state (MANT streaming window stats,
-            # staging scales, mid-prefill chunk maxima) must not alias
-            # the parent's.
-            for attr in ("_acc_sum", "_acc_sqsum", "_acc_max", "_stage_scale",
-                         "_chunk_ch_max", "_win_max"):
-                val = getattr(inner, attr, None)
-                if isinstance(val, (np.ndarray, list)):
-                    setattr(inner, attr, val.copy())
-            inner._buffer_factory = self.pool._buffer_factory(clone, layer)
-            clone.caches.append(PagedKVCache(inner, table))
+            buf = cache._buf
+            clone.caches.append(cache.fork(
+                self.pool._buffer_factory(clone, layer),
+                None if buf is None else buf.clone_for(table)))
         self.pool.total_leases += 1
         self.pool.forks += 1
         return clone

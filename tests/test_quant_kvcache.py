@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.quant.kvcache as kvcache_module
+from repro.datatypes.int_type import IntType
+from repro.quant.config import Granularity
 from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
+from repro.quant.quantizer import GroupQuantizer
 
 
 def fill(cache, heads=2, seq=70, dh=64, extra=70, seed=0):
@@ -47,6 +51,35 @@ class TestIntCache:
         rng = np.random.default_rng(0)
         cache.prefill(rng.normal(size=(2, 10, 16)), rng.normal(size=(2, 10, 16)))
         assert cache.keys().shape == (2, 10, 16)
+
+    def test_quantizer_built_once_per_config(self, monkeypatch):
+        """Writes reuse one quantizer per (bits, group) configuration
+        instead of constructing an ``IntType`` (which derives its grid)
+        per write; the stored bytes are those of a fresh quantizer."""
+        built = []
+
+        class CountingIntType(IntType):
+            def __init__(self, bits):
+                built.append(bits)
+                super().__init__(bits)
+
+        monkeypatch.setattr(kvcache_module, "IntType", CountingIntType)
+        rng = np.random.default_rng(3)
+        caches = [IntKVCache(bits=4, group_size=16) for _ in range(3)]
+        k0, v0 = rng.normal(size=(2, 2, 5, 16))
+        for c in caches:
+            c.prefill(k0, v0)
+        rows = rng.normal(size=(20, 2, 3, 2, 16))
+        for k, v in rows:
+            IntKVCache.append_batch(caches, k, v)
+        assert len(built) <= 1
+        ref = GroupQuantizer(IntType(4), Granularity.GROUP, 16)
+        for b, c in enumerate(caches):
+            for got, data in ((c.keys(), k0), (c.values(), v0)):
+                assert got[:, :5].tobytes() == ref.qdq(data).astype(got.dtype).tobytes()
+            for got, role in ((c.keys(), 0), (c.values(), 1)):
+                want = ref.qdq(rows[:, role, b].transpose(1, 0, 2))
+                assert got[:, 5:].tobytes() == want.astype(got.dtype).tobytes()
 
 
 class TestMantCache:

@@ -34,7 +34,7 @@ from repro.core.selection import VarianceSelector
 from repro.model.transformer import MixedSegment
 from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache, _BufferedKVCache
 from repro.serve.paging import (
-    BlockPool, PagedKVCache, PagedTokenBuffer, PageTable, PoolExhausted,
+    BlockPool, PagedTokenBuffer, PageTable, PoolExhausted,
 )
 
 WINDOW = 32
@@ -53,11 +53,10 @@ FACTORIES = {
 
 def cache_state(cache):
     """Everything a write can change, as comparable bytes."""
-    inner = getattr(cache, "inner", cache)
     state = [np.asarray(cache.keys()).tobytes(), np.asarray(cache.values()).tobytes()]
     for attr in ("_v_final", "_acc_sum", "_acc_sqsum", "_acc_max",
                  "_stage_scale", "_chunk_ch_max"):
-        val = getattr(inner, attr, None)
+        val = getattr(cache, attr, None)
         state.append(val.tobytes() if isinstance(val, np.ndarray) else val)
     return state
 
@@ -127,17 +126,19 @@ class TestPooledEqualsPerSegment:
         assert leases_a[4].table.n_pages == 3             # 64 tokens + 1
         assert leases_a[1].table.blocks[1] != leases_a[5].table.blocks[1]
 
-        # Reference: the per-segment writes — the inner class's
-        # one-segment append_batch per decode row, then one
-        # prefill_chunk per chunk, in pack order — each its own store.
-        def per_segment(cls, decode_caches, k_dec, v_dec, chunks):
-            for b, cache in enumerate(decode_caches):
-                type(cache.inner).append_batch(
-                    [cache.inner], k_dec[b:b + 1], v_dec[b:b + 1])
-            for cache, k, v, final in chunks:
-                cache.inner.prefill_chunk(k, v, final=final)
+        # Reference: the per-segment writes — the cache class's own
+        # one-segment write per decode row, then one per chunk, in pack
+        # order — each its own store.
+        cls = type(leases_a[0].caches[0])
+        write_checked = cls.write_checked
 
-        monkeypatch.setattr(PagedKVCache, "write_checked", classmethod(per_segment))
+        def per_segment(_, decode_caches, k_dec, v_dec, chunks):
+            for b, cache in enumerate(decode_caches):
+                write_checked([cache], k_dec[b:b + 1], v_dec[b:b + 1], [])
+            for seg in chunks:
+                write_checked([], None, None, [seg])
+
+        monkeypatch.setattr(cls, "write_checked", classmethod(per_segment))
         pool_b, leases_b, segs_b = build_tick(model, FACTORIES[name])
         per_segment = model.forward_mixed(segs_b)
 

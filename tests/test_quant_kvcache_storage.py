@@ -243,7 +243,7 @@ class TestPagedReads:
         lease = pool.acquire(lambda: MantKVCache(group_size=32, window=32))
         lease.caches[0].prefill(*rng.standard_normal((2, 2, 63, 32)))
         fork = lease.fork()
-        buf = fork.caches[0].inner._buf
+        buf = fork.caches[0]._buf
         staged = buf.values_recent(31)
         assert not staged.flags.writeable and pool.cow_copies == 0
         assert staged.tobytes() == np.asarray(lease.caches[0].values())[:, 32:].tobytes()

@@ -665,8 +665,9 @@ class TestSnapshotRestore:
 
     def test_pre_pool_snapshot_config_restores(self, model):
         """A version-1 snapshot whose config carries the retired storage
-        fields (``paged``, ``initial_cache_capacity``) restores onto
-        pages and finishes token-for-token like an undisturbed run."""
+        fields (``paged``, ``initial_cache_capacity``) or strict-mode
+        switch (``check_invariants``) restores onto pages and finishes
+        token-for-token like an undisturbed run."""
         ps = prompts(3, seed=26)
         eng = make_engine(model, "paged", max_batch_size=2)
         for i, p in enumerate(ps):
@@ -674,7 +675,8 @@ class TestSnapshotRestore:
         for _ in range(4):
             eng.step()
         snap = json.loads(json.dumps(eng.snapshot()))
-        snap["config"].update(paged=False, initial_cache_capacity=64)
+        snap["config"].update(paged=False, initial_cache_capacity=64,
+                              check_invariants=True)
         eng2 = GenerationEngine.restore(snap, model, FP16KVCache)
         assert eng2.config == eng.config
         eng2.generate()

@@ -25,15 +25,16 @@ from repro.model import layers as L
 from repro.model.transformer import ModelConfig, TransformerLM
 from repro.quant.kvcache import FP16KVCache, IntKVCache, KVCache, MantKVCache
 from repro.serve import (
+    FINISH_LENGTH,
     BlockPool,
     GenerationEngine,
     GenerationRequest,
-    PagedKVCache,
     PoolExhausted,
+    SamplingParams,
     ServeConfig,
 )
 from repro.serve.paging import validate_block_compat
-from serve_testlib import single_stream
+from serve_testlib import assert_storage_baseline, single_stream
 
 VOCAB = 64
 
@@ -94,7 +95,7 @@ class TestPagedCacheEquivalence:
         cache = lease.caches[0]
         rng = np.random.default_rng(2)
         drive(cache, rng, seq=10, extra=15)       # 25 tokens -> 4 pages
-        assert cache.n_pages == 4
+        assert lease.table.n_pages == 4
         assert pool.blocks_in_use == 4
         lease.release()
         assert pool.blocks_in_use == 0
@@ -123,7 +124,7 @@ class TestPagedCacheEquivalence:
                                rng_a.normal(size=(2, 16)))
             b.caches[0].append(rng_b.normal(size=(2, 16)),
                                rng_b.normal(size=(2, 16)))
-        tables = [a.caches[0].table.blocks, b.caches[0].table.blocks]
+        tables = [a.table.blocks, b.table.blocks]
         assert any(blk != list(range(blk[0], blk[0] + len(blk)))
                    for blk in tables)             # at least one lost the fast path
         ref = FP16KVCache()
@@ -158,7 +159,7 @@ class TestPagedCacheEquivalence:
         cache = lease.caches[0]
         drive(cache, np.random.default_rng(8), seq=12, extra=0)
         with pytest.raises(ValueError, match="page boundary"):
-            cache.inner._buf.values_tail(6)       # [6, 12) straddles page 0/1
+            cache._buf.values_tail(6)             # [6, 12) straddles page 0/1
 
 
 # ======================================================================
@@ -285,16 +286,17 @@ class TestBlockLifecycle:
         keeps its length and bytes."""
         pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=3,
                          enable_prefix_cache=False)
-        caches = [pool.acquire(FP16KVCache).caches[0] for _ in range(2)]
+        leases = [pool.acquire(FP16KVCache) for _ in range(2)]
+        caches = [lease.caches[0] for lease in leases]
         rng = np.random.default_rng(18)
         for cache in caches:
             drive(cache, rng, seq=8, extra=0)     # one full page each
         before = [(np.array(c.keys()), np.array(c.values())) for c in caches]
         k, v = rng.normal(size=(2, 2, 2, 16))
         with pytest.raises(PoolExhausted):
-            PagedKVCache.append_batch(caches, k, v)
+            FP16KVCache.append_batch(caches, k, v)
         assert [c.seq_len for c in caches] == [8, 8]
-        assert [c.n_pages for c in caches] == [2, 1]
+        assert [lease.table.n_pages for lease in leases] == [2, 1]
         for c, (keys, values) in zip(caches, before):
             assert np.array_equal(c.keys(), keys)
             assert np.array_equal(c.values(), values)
@@ -311,6 +313,43 @@ class TestLeaseContract:
         pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=4)
         with pytest.raises(TypeError, match="pooled buffer"):
             pool.acquire(Odd)
+
+    @pytest.mark.parametrize("name", list(CACHE_FACTORIES))
+    @pytest.mark.parametrize("across", ["pools", "layers"])
+    def test_write_across_pool_slabs_rejected(self, name, across):
+        """Paged caches over different slabs — two pools, or two layers
+        of one pool — cannot share one write's store: decode rows and
+        chunks on fresh caches alike raise and change no cache."""
+        factory = CACHE_FACTORIES[name]
+        if across == "pools":
+            pools = [BlockPool(n_layers=1, block_tokens=16, num_blocks=8)
+                     for _ in range(2)]
+            leases = [(pool.acquire(factory), pool.acquire(factory))
+                      for pool in pools]
+            driven, fresh = ([pair[i].caches[0] for pair in leases]
+                             for i in range(2))
+        else:
+            pools = [BlockPool(n_layers=2, block_tokens=16, num_blocks=8)]
+            driven, fresh = (pools[0].acquire(factory).caches for _ in range(2))
+        rng = np.random.default_rng(30)
+        for cache in driven:
+            drive(cache, rng, seq=20, extra=3)
+        before = [(np.array(c.keys()), np.array(c.values())) for c in driven]
+        books = [(p.allocations, p.blocks_in_use) for p in pools]
+        cls = type(driven[0])
+        k, v = rng.normal(size=(2, 2, 2, 16))
+        chunk = rng.normal(size=(2, 2, 16, 16))
+        for write in (lambda: cls.write_layer(driven, k, v, []),
+                      lambda: cls.write_layer([], None, None,
+                                              [(c, *chunk, True) for c in fresh])):
+            with pytest.raises(ValueError, match="share one pool layer's slabs"):
+                write()
+        assert [c.seq_len for c in driven] == [23, 23]
+        for c, (keys, values) in zip(driven, before):
+            assert np.array_equal(c.keys(), keys)
+            assert np.array_equal(c.values(), values)
+        assert [c.seq_len for c in fresh] == [0, 0]
+        assert [(p.allocations, p.blocks_in_use) for p in pools] == books
 
     def test_rebind_on_live_cache_rejected(self):
         pool = BlockPool(n_layers=1, block_tokens=8, num_blocks=8)
@@ -451,6 +490,48 @@ class TestPagedEngine:
                               for i, r in enumerate(reqs)])
         assert all(res[f"r{i}"].tokens == res2[f"r{i}"].tokens for i in range(2))
 
+    @staticmethod
+    def _fork_heavy_requests(seed):
+        """Eight requests over one 32-token prefix, every even one
+        ``n=3`` sampled: the siblings share their last, partial page."""
+        rng = np.random.default_rng(seed)
+        prefix = rng.integers(0, VOCAB, size=32)
+        reqs = []
+        for i in range(8):
+            tail = rng.integers(0, VOCAB, size=int(rng.integers(4, 29)))
+            n = 3 if i % 2 == 0 else 1
+            sampling = (SamplingParams(temperature=0.9, top_k=16, seed=100 * seed + i)
+                        if n > 1 else SamplingParams())
+            reqs.append(GenerationRequest(
+                f"r{i}", np.concatenate([prefix, tail]),
+                max_tokens=int(rng.integers(8, 33)), sampling=sampling, n=n))
+        return reqs
+
+    @pytest.mark.parametrize("cache_name", list(CACHE_FACTORIES))
+    @pytest.mark.parametrize("num_blocks,seed", [(7, 1), (8, 4), (9, 2)])
+    def test_plan_charges_copy_on_write_clones(self, model, cache_name,
+                                               num_blocks, seed):
+        """Fork siblings each clone their shared partial page on their
+        first write.  The plan charges those clones next to the new
+        pages, so a tight pool preempts instead of running dry inside
+        the tick's store."""
+        factory = CACHE_FACTORIES[cache_name]
+        eng = GenerationEngine(model, factory, ServeConfig(
+            max_batch_size=6, block_tokens=32, num_blocks=num_blocks))
+        res = eng.generate(self._fork_heavy_requests(seed))
+        assert eng.stats().preemptions >= 1
+        assert eng.pool.cow_copies >= 1
+        for r in res.values():
+            assert all(s.finish_reason == FINISH_LENGTH for s in r.samples)
+        assert_storage_baseline(eng)
+        if cache_name != "mant4":         # recompute is exact for fp16/int4
+            roomy = GenerationEngine(model, factory, ServeConfig(
+                max_batch_size=6, block_tokens=32, num_blocks=64))
+            ref = roomy.generate(self._fork_heavy_requests(seed))
+            for rid, r in res.items():
+                assert ([s.tokens for s in r.samples]
+                        == [s.tokens for s in ref[rid].samples])
+
     def test_incompatible_block_size_rejected_at_engine_init(self, model):
         with pytest.raises(ValueError, match="multiple of the MANT"):
             GenerationEngine(model, CACHE_FACTORIES["mant4"], ServeConfig(
@@ -466,7 +547,8 @@ class TestPagedEngine:
         GenerationEngine(model, MantKVCache, ServeConfig(block_tokens=64))
 
     def test_append_batch_fusion_preserved_under_paging(self, model):
-        """PagedKVCache.append_batch must dispatch the inner fused path."""
+        """A lease's caches are the MANT caches themselves, so a batched
+        decode over them takes MantKVCache's fused path."""
         factory = CACHE_FACTORIES["mant4"]
         pool = BlockPool(n_layers=model.config.n_layers, block_tokens=16,
                          num_blocks=32)
@@ -484,7 +566,7 @@ class TestPagedEngine:
             ref = model.decode_step(toks[b], solo, poss[b])
             assert np.array_equal(batched[b], ref)
         layer0 = [lease.caches[0] for lease in leases]
-        assert all(type(c) is PagedKVCache for c in layer0)
+        assert all(type(c) is MantKVCache for c in layer0)
 
 
 # ======================================================================

@@ -96,7 +96,7 @@ class TestServeConfigV2:
     def test_presets(self):
         # One storage backend: no backend switch, no backend presets.
         names = {f.name for f in dataclasses.fields(ServeConfig)}
-        assert not names & {"paged", "initial_cache_capacity"}
+        assert not names & {"paged", "initial_cache_capacity", "check_invariants"}
         assert not hasattr(ServeConfig, "arena")
         assert not hasattr(ServeConfig, "paged")
         chunked = ServeConfig.chunked()

@@ -73,11 +73,10 @@ def chunked_prefill(model, lease, ids, start=0):
 
 
 def cache_state(cache):
-    inner = cache.inner
     out = [np.array(cache.keys(), copy=True).tobytes(),
            np.array(cache.values(), copy=True).tobytes()]
     for attr in MANT_STATE:
-        val = getattr(inner, attr, None)
+        val = getattr(cache, attr, None)
         out.append(val.tobytes() if isinstance(val, np.ndarray) else val)
     return out
 
@@ -140,7 +139,7 @@ class TestAdoptEqualsFullChunkedPrefill:
             want = np.abs(v[:, :(page + 1) * BT]).max(axis=1)
             assert pool.prefix_state(0, bid).tobytes() == want.tobytes()
         # Registration consumed the record: the history is freed.
-        assert cache.inner._win_max is None
+        assert cache._win_max is None
 
     @pytest.mark.parametrize("cache_name", ["fp16", "int4"])
     def test_stateless_caches_add_no_slab(self, model, cache_name):
@@ -255,9 +254,9 @@ class TestEvictedStateNeverServed:
         lease = pool.acquire(CACHE_FACTORIES["mant4"])
         ids = np.arange(3 * BT) % VOCAB
         model.prefill_chunk(ids[:BT], lease.caches, offset=0)
-        assert len(lease.caches[0].inner._win_max) == 1
+        assert len(lease.caches[0]._win_max) == 1
         lease.release()                               # preempted mid-prefill
-        assert all(c.inner._win_max is None for c in lease.caches)
+        assert all(c._win_max is None for c in lease.caches)
 
 
 class TestCursorStart:
